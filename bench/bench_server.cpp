@@ -8,14 +8,17 @@
 // requests pay Pipeline::build_inplace once per distinct (from, to) pair,
 // everyone after rides the cache or coalesces.
 //
-// Runs standalone with no arguments (CI smoke); IPDELTA_BENCH_SERVE_OPS
-// scales the warm-phase request count for serious runs.
+// Runs standalone with no arguments (CI smoke). The warm section is
+// time-based: each thread count runs five 0.5 s volleys and reports the
+// median rate (about 10 s in all). IPDELTA_BENCH_SERVE_OPS sets the
+// request count of the tracing-overhead volleys.
 //
 // Prints a human table, then one `JSON {...}` line for the tracked
 // trend file:
 //   bench_server | grep '^JSON ' | cut -c6- > BENCH_SERVER.json
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -84,6 +87,42 @@ LoadResult run_load(DeltaService& service, std::size_t releases,
     for (std::thread& client : clients) client.join();
   });
   return result;
+}
+
+/// Closed-loop warm volley: `threads` client threads serve random
+/// (from < to) pairs until `seconds` have passed, recording each
+/// request's latency into `latency`. A time-based volley, unlike a
+/// fixed count, runs long enough at every thread count to average over
+/// scheduler noise. Returns requests per second over the whole volley.
+double timed_volley(DeltaService& service, std::size_t releases,
+                    std::size_t threads, double seconds, std::uint64_t seed,
+                    obs::Histogram& latency) {
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> served{0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < threads; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(seed + t);
+      std::uint64_t n = 0;
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto from = static_cast<ReleaseId>(rng.below(releases - 1));
+        const auto to =
+            from + 1 + static_cast<ReleaseId>(rng.below(releases - 1 - from));
+        bench::time_into(latency, [&] { (void)service.serve(from, to); });
+        ++n;
+      }
+      served.fetch_add(n, std::memory_order_relaxed);
+    });
+  }
+  const double elapsed = bench::time_seconds([&] {
+    go.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& client : clients) client.join();
+  });
+  return static_cast<double>(served.load()) / elapsed;
 }
 
 /// CI gate: the stats exposition must name every registered metric.
@@ -179,9 +218,9 @@ int main() {
   for (const Bytes& release : history) store.publish(release);
   const std::size_t releases = store.release_count();
 
-  std::size_t warm_ops = 40'000;
+  std::size_t trace_ops = 40'000;
   if (const char* env = std::getenv("IPDELTA_BENCH_SERVE_OPS")) {
-    warm_ops = std::strtoull(env, nullptr, 10);
+    trace_ops = std::strtoull(env, nullptr, 10);
   }
 
   std::printf("bench_server: %zu releases x %zu KiB, %u hardware threads\n",
@@ -191,7 +230,7 @@ int main() {
 
   std::string json = "{\"bench\":\"server\",\"releases\":" +
                      std::to_string(releases) +
-                     ",\"warm_ops\":" + std::to_string(warm_ops);
+                     ",\"trace_volley_ops\":" + std::to_string(trace_ops);
 
   // ---- cold start: build amortization --------------------------------
   {
@@ -220,11 +259,14 @@ int main() {
   bench::rule();
 
   // ---- warm cache: throughput vs. client threads ---------------------
-  // One service, fully warmed, then each thread count fires the same
-  // request volume. The serving path never builds: it is store lookup +
-  // sharded LRU + atomics, which is what has to scale.
+  // One service, fully warmed, then each thread count runs kWarmRepeats
+  // time-based volleys; the table reports the median rate. The serving
+  // path never builds: it is store lookup + sharded CLOCK cache +
+  // per-thread telemetry cells, which is what has to scale.
   int exposition_missing = 0;
   {
+    constexpr double kWarmVolleySeconds = 0.5;
+    constexpr std::size_t kWarmRepeats = 5;
     ServiceOptions options;
     options.cache_budget = 64ull << 20;
     options.workers = 4;
@@ -232,24 +274,35 @@ int main() {
     obs::Histogram latency;
     run_load(service, releases, 4, 2048, 0x3A3A, latency);  // warm every pair
 
-    std::printf("warm cache, %zu requests per thread count:\n", warm_ops);
+    std::printf("warm cache, median of %zu x %.1fs volleys per thread count:\n",
+                kWarmRepeats, kWarmVolleySeconds);
     std::printf("  %-8s %12s %12s %10s   %s\n", "threads", "req/s", "MiB/s",
                 "hit rate", "serve latency");
     double base = 0;
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       service.metrics().reset();
       latency.reset();
-      LoadResult warm = run_load(service, releases, threads, warm_ops,
-                                 0xBEEF + threads, latency);
+      std::vector<double> rates;
+      const double seconds = bench::time_seconds([&] {
+        for (std::size_t rep = 0; rep < kWarmRepeats; ++rep) {
+          rates.push_back(timed_volley(service, releases, threads,
+                                       kWarmVolleySeconds,
+                                       0xBEEF + 16 * threads + rep, latency));
+        }
+      });
+      std::sort(rates.begin(), rates.end());
+      const double rate = rates[rates.size() / 2];
       const ServiceMetrics& m = service.metrics();
-      const double rate =
-          static_cast<double>(warm.requests) / warm.seconds;
       const double mib =
-          static_cast<double>(m.bytes_served.load()) / warm.seconds / 1048576.0;
+          static_cast<double>(m.bytes_served.load()) / seconds / 1048576.0;
       if (threads == 1) base = rate;
       std::printf("  %-8zu %12.0f %12.1f %9.1f%%   %s  (%.2fx vs 1 thread)\n",
                   threads, rate, mib, 100.0 * m.hit_rate(),
                   bench::latency_summary(latency).c_str(), rate / base);
+      if (threads == 4) {
+        json += ",\"warm_req_per_sec_4t\":" + std::to_string(rate) +
+                ",\"warm_scaling_4v1\":" + std::to_string(rate / base);
+      }
       if (threads == 8) {
         json += ",\"warm_req_per_sec_1t\":" + std::to_string(base) +
                 ",\"warm_req_per_sec_8t\":" + std::to_string(rate) +
@@ -368,7 +421,7 @@ int main() {
     // whichever one it overlapped, and the best round approximates the
     // uncontended cost. One thread keeps scheduler noise out of what is
     // a per-call-overhead measurement, not a scaling one.
-    const std::size_t volley_ops = warm_ops;
+    const std::size_t volley_ops = trace_ops;
     const auto volley = [&](std::uint64_t seed) {
       latency.reset();
       const LoadResult r =

@@ -566,11 +566,9 @@ int cmd_serve(const std::vector<std::string>& args) {
         std::printf(
             "stats: %llu requests (%.0f%% cache hits), %llu wire bytes, "
             "serve %s\n",
-            static_cast<unsigned long long>(
-                m.requests.load(std::memory_order_relaxed)),
+            static_cast<unsigned long long>(m.requests.load()),
             100.0 * m.hit_rate(),
-            static_cast<unsigned long long>(
-                m.net_bytes_sent.load(std::memory_order_relaxed)),
+            static_cast<unsigned long long>(m.net_bytes_sent.load()),
             serve_lat.latency_line().c_str());
         std::fflush(stdout);
       }

@@ -64,10 +64,10 @@ std::size_t DeltaServer::send_counted(FramedConnection& conn,
   const Bytes wire =
       encode_message(message, trace.valid() ? &trace : nullptr);
   ServiceMetrics& m = service_.metrics();
-  m.net_bytes_sent.fetch_add(wire.size(), std::memory_order_relaxed);
-  m.net_frames_sent.fetch_add(1, std::memory_order_relaxed);
+  m.net_bytes_sent.add(wire.size());
+  m.net_frames_sent.add();
   if (const auto* err = std::get_if<ErrorMsg>(&message)) {
-    m.net_errors.fetch_add(1, std::memory_order_relaxed);
+    m.net_errors.add();
     obs::global_events().push(obs::EventType::kNetError,
                               static_cast<std::uint64_t>(err->code), 0,
                               err->message);
@@ -80,7 +80,7 @@ void DeltaServer::serve_session(Transport& transport) {
     transport.set_read_timeout(config_.idle_timeout_ms);
   }
   ServiceMetrics& m = service_.metrics();
-  m.net_sessions.fetch_add(1, std::memory_order_relaxed);
+  m.net_sessions.add();
   FramedConnection conn(transport);
   std::size_t chunk = config_.chunk_bytes;
   // Session flight recorder: records spans/events on this thread whether
@@ -181,7 +181,7 @@ void DeltaServer::handle_transfer(FramedConnection& conn, ReleaseId from,
   if (plan.resume_accepted) {
     // Count on acceptance, not completion: observers (tests, dashboards)
     // that saw the resumed transfer finish must also see the counter.
-    service_.metrics().net_resumes.fetch_add(1, std::memory_order_relaxed);
+    service_.metrics().net_resumes.add();
     obs::global_events().push(obs::EventType::kNetResume, offset,
                               artifact.size());
   }

@@ -140,7 +140,7 @@ OtaClient::Session OtaClient::connect_session() {
 void OtaClient::backoff(std::size_t attempt, OtaReport& report) {
   ++report.retries;
   if (metrics_ != nullptr) {
-    metrics_->net_retries.fetch_add(1, std::memory_order_relaxed);
+    metrics_->net_retries.add();
   }
   const int shift = attempt > 16 ? 16 : static_cast<int>(attempt);
   const long long ms =
@@ -482,12 +482,11 @@ OtaReport OtaClient::update_device(FlashDevice& device,
       const Verifier verifier(VerifyOptions{.require_in_place = true});
       const Report verdict = verifier.check(ByteView(tj.received));
       if (metrics_ != nullptr && verdict.warning_count() > 0) {
-        metrics_->verify_warns.fetch_add(verdict.warning_count(),
-                                         std::memory_order_relaxed);
+        metrics_->verify_warns.add(verdict.warning_count());
       }
       if (!verdict.ok()) {
         if (metrics_ != nullptr) {
-          metrics_->verify_rejects.fetch_add(1, std::memory_order_relaxed);
+          metrics_->verify_rejects.add();
         }
         std::string why = "unsafe delta refused before flash write";
         for (const Finding& f : verdict.findings) {

@@ -211,10 +211,10 @@ struct Reactor::Impl {
   /// time is server-side latency, not a counting boundary.
   void count_outgoing(std::size_t wire_bytes, const ErrorMsg* err) {
     ServiceMetrics& m = service.metrics();
-    m.net_bytes_sent.fetch_add(wire_bytes, std::memory_order_relaxed);
-    m.net_frames_sent.fetch_add(1, std::memory_order_relaxed);
+    m.net_bytes_sent.add(wire_bytes);
+    m.net_frames_sent.add();
     if (err != nullptr) {
-      m.net_errors.fetch_add(1, std::memory_order_relaxed);
+      m.net_errors.add();
       obs::global_events().push(obs::EventType::kNetError,
                                 static_cast<std::uint64_t>(err->code), 0,
                                 err->message);
@@ -222,7 +222,7 @@ struct Reactor::Impl {
   }
 
   void count_shed(std::uint64_t at, std::uint64_t limit) {
-    service.metrics().net_shed.fetch_add(1, std::memory_order_relaxed);
+    service.metrics().net_shed.add();
     obs::global_events().push(obs::EventType::kConnRejected, at, limit);
   }
 
@@ -574,8 +574,7 @@ struct Reactor::Impl {
         continue;
       }
       if (plan.resume_accepted) {
-        service.metrics().net_resumes.fetch_add(1,
-                                                std::memory_order_relaxed);
+        service.metrics().net_resumes.add();
         obs::global_events().push(obs::EventType::kNetResume, d.offset,
                                   plan.begin.total_size);
       }
@@ -606,7 +605,7 @@ struct Reactor::Impl {
   /// send of the tiny ERROR frame virtually always lands; either way the
   /// accept path never blocks and the listener never stalls.
   void shed_connection(std::unique_ptr<TcpTransport> transport) {
-    service.metrics().net_rejected.fetch_add(1, std::memory_order_relaxed);
+    service.metrics().net_rejected.add();
     count_shed(live.load(std::memory_order_relaxed), config.max_connections);
     const ErrorMsg err{ErrorCode::kShed,
                        "connection limit reached, retry later"};
@@ -647,7 +646,7 @@ struct Reactor::Impl {
         conn->transport->close();
         continue;
       }
-      service.metrics().net_sessions.fetch_add(1, std::memory_order_relaxed);
+      service.metrics().net_sessions.add();
       conns.emplace(conn->id, std::move(conn));
       live.fetch_add(1, std::memory_order_relaxed);
     }

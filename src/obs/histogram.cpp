@@ -1,14 +1,8 @@
 #include "obs/histogram.hpp"
 
-#include <bit>
 #include <cstdio>
 
 namespace ipd::obs {
-
-std::size_t Histogram::bucket_of(std::uint64_t value) noexcept {
-  const std::size_t width = static_cast<std::size_t>(std::bit_width(value));
-  return width < kHistogramBuckets ? width : kHistogramBuckets - 1;
-}
 
 std::uint64_t Histogram::bucket_low(std::size_t bucket) noexcept {
   return bucket == 0 ? 0 : std::uint64_t{1} << (bucket - 1);
@@ -20,20 +14,34 @@ std::uint64_t Histogram::bucket_high(std::size_t bucket) noexcept {
   return (std::uint64_t{1} << bucket) - 1;
 }
 
+std::uint64_t Histogram::count() const noexcept {
+  std::uint64_t total = 0;
+  cells_.for_each([&](const Cell& cell) {
+    total += cell.count.load(std::memory_order_relaxed);
+  });
+  return total;
+}
+
 HistogramSnapshot Histogram::snapshot() const noexcept {
   HistogramSnapshot snap;
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  cells_.for_each([&](const Cell& cell) {
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+      snap.buckets[i] += cell.buckets[i].load(std::memory_order_relaxed);
+    }
+    snap.count += cell.count.load(std::memory_order_relaxed);
+    snap.sum += cell.sum.load(std::memory_order_relaxed);
+  });
   return snap;
 }
 
 void Histogram::reset() noexcept {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  cells_.for_each([](Cell& cell) {
+    for (auto& bucket : cell.buckets) {
+      bucket.store(0, std::memory_order_relaxed);
+    }
+    cell.count.store(0, std::memory_order_relaxed);
+    cell.sum.store(0, std::memory_order_relaxed);
+  });
 }
 
 void HistogramSnapshot::merge(const HistogramSnapshot& other) noexcept {

@@ -3,9 +3,13 @@
 // The layout is fixed: 64 buckets, where bucket k holds every value v
 // with bit_width(v) == k — i.e. bucket 0 is exactly {0} and bucket k
 // (k >= 1) spans [2^(k-1), 2^k). A recorded value touches exactly one
-// relaxed atomic bucket plus the count/sum pair, so record() is safe
-// from any number of threads and never stalls a request path; the
-// counters are statistics, not synchronization.
+// relaxed atomic bucket plus the count/sum pair of the calling thread's
+// stripe (obs/striped.hpp), so record() is safe from any number of
+// threads, never stalls a request path and, while each recording thread
+// owns a stripe, writes no cache line another thread writes. snapshot()
+// merges the stripes. The price is memory: kStripes cells of 66 words
+// each, padded to 576 bytes, so one Histogram is 9216 bytes (a single
+// cell was 528).
 //
 // Quantiles are answered from a HistogramSnapshot (a plain copy of the
 // buckets) by nearest-rank walk with linear interpolation inside the
@@ -18,8 +22,11 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
+
+#include "obs/striped.hpp"
 
 namespace ipd::obs {
 
@@ -60,14 +67,13 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void record(std::uint64_t value) noexcept {
-    buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    Cell& cell = cells_.local();
+    cell.buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+    cell.count.fetch_add(1, std::memory_order_relaxed);
+    cell.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t count() const noexcept;
 
   HistogramSnapshot snapshot() const noexcept;
 
@@ -78,16 +84,22 @@ class Histogram {
 
   /// Bucket index for a value: bit_width, i.e. 0 -> 0, [2^(k-1), 2^k)
   /// -> k, clamped into the fixed layout.
-  static std::size_t bucket_of(std::uint64_t value) noexcept;
+  static std::size_t bucket_of(std::uint64_t value) noexcept {
+    const auto width = static_cast<std::size_t>(std::bit_width(value));
+    return width < kHistogramBuckets ? width : kHistogramBuckets - 1;
+  }
 
   /// Inclusive [lowest, highest] value a bucket spans.
   static std::uint64_t bucket_low(std::size_t bucket) noexcept;
   static std::uint64_t bucket_high(std::size_t bucket) noexcept;
 
  private:
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  struct Cell {
+    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum{0};
+  };
+  Striped<Cell> cells_;
 };
 
 }  // namespace ipd::obs

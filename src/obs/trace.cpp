@@ -18,19 +18,6 @@ const char* const kStageNames[kStageCount] = {
 #undef IPD_OBS_STAGE_NAME
 };
 
-struct GlobalTotals {
-  std::atomic<std::uint64_t> ns[kStageCount] = {};
-  std::atomic<std::uint64_t> bytes[kStageCount] = {};
-  std::atomic<std::uint64_t> count[kStageCount] = {};
-};
-
-GlobalTotals& global_totals() noexcept {
-  // Trivially destructible: safe for thread-local sink destructors that
-  // flush during late thread teardown.
-  static GlobalTotals totals;
-  return totals;
-}
-
 std::atomic<bool> g_tracing{false};
 std::atomic<std::uint32_t> g_trace_pid{1};
 
@@ -72,48 +59,111 @@ std::uint32_t next_thread_id() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// Per-thread accumulation: plain memory, no contention. Flushes to the
-/// global atomics when the outermost span ends (bounded staleness: one
-/// in-flight pipeline) and on thread exit.
+/// One stage's totals on one thread. Only the owning thread writes
+/// (plain load + store, no read-modify-write); stage_totals() reads
+/// from any thread, hence the relaxed atomics.
+struct LiveCell {
+  std::atomic<std::uint64_t> ns{0};
+  std::atomic<std::uint64_t> bytes{0};
+  std::atomic<std::uint64_t> count{0};
+};
+
+void bump(std::atomic<std::uint64_t>& owned, std::uint64_t n) noexcept {
+  owned.store(owned.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+}
+
+struct ThreadSink;
+
+/// Every live thread's sink plus what exited threads left behind.
+/// stage_totals() = retired + sum(live) - baseline; each term only
+/// grows, so reset_stage_totals() moves the baseline instead of writing
+/// cells another thread owns. Heap-allocated and never destroyed, like
+/// the trace collector, for threads that exit during teardown. The
+/// mutex is a leaf: nothing else is locked while it is held.
+struct SinkRegistry {
+  Mutex mutex{"obs::SinkRegistry"};
+  std::vector<const ThreadSink*> live GUARDED_BY(mutex);
+  StageCell retired[kStageCount] GUARDED_BY(mutex) = {};
+  StageCell baseline[kStageCount] GUARDED_BY(mutex) = {};
+
+  /// out = retired + sum(live).
+  void sum_into(StageCell (&out)[kStageCount]) const REQUIRES(mutex);
+};
+
+SinkRegistry& registry() {
+  static SinkRegistry* r = new SinkRegistry;
+  return *r;
+}
+
+/// Per-thread accumulation. A span adds to its thread's cells and
+/// nothing else; the cells stay registered until the thread exits and
+/// are folded into the registry's retired totals then. Trace events
+/// move to the collector when the outermost span ends (only while
+/// tracing produced any) and on thread exit.
 struct ThreadSink {
-  StageCell cells[kStageCount] = {};
+  LiveCell cells[kStageCount];
   std::vector<TraceEvent> events;
   int depth = 0;
-  bool dirty = false;
   std::uint32_t tid = next_thread_id();
 
-  ~ThreadSink() { flush(); }
+  ThreadSink() {
+    SinkRegistry& r = registry();
+    const MutexLock lock(r.mutex);
+    r.live.push_back(this);
+  }
 
-  void flush() noexcept {
-    if (dirty) {
-      GlobalTotals& g = global_totals();
-      for (std::size_t i = 0; i < kStageCount; ++i) {
-        if (cells[i].count == 0) continue;
-        g.ns[i].fetch_add(cells[i].ns, std::memory_order_relaxed);
-        g.bytes[i].fetch_add(cells[i].bytes, std::memory_order_relaxed);
-        g.count[i].fetch_add(cells[i].count, std::memory_order_relaxed);
-        cells[i] = StageCell{};
-      }
-      dirty = false;
+  ~ThreadSink() {
+    flush_events();
+    SinkRegistry& r = registry();
+    const MutexLock lock(r.mutex);
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+      r.retired[i].ns += cells[i].ns.load(std::memory_order_relaxed);
+      r.retired[i].bytes += cells[i].bytes.load(std::memory_order_relaxed);
+      r.retired[i].count += cells[i].count.load(std::memory_order_relaxed);
     }
-    if (!events.empty()) {
-      TraceCollector& c = collector();
-      const MutexLock lock(c.mutex);
-      for (TraceEvent& e : events) {
-        if (c.events.size() >= kMaxTraceEvents) {
-          c.overflowed = true;
-          break;
-        }
-        c.events.push_back(e);
+    std::erase(r.live, this);
+  }
+
+  ThreadSink(const ThreadSink&) = delete;
+  ThreadSink& operator=(const ThreadSink&) = delete;
+
+  void add(Stage stage, std::uint64_t ns, std::uint64_t bytes) noexcept {
+    LiveCell& cell = cells[static_cast<std::size_t>(stage)];
+    bump(cell.ns, ns);
+    bump(cell.bytes, bytes);
+    bump(cell.count, 1);
+  }
+
+  void flush_events() noexcept {
+    if (events.empty()) return;
+    TraceCollector& c = collector();
+    const MutexLock lock(c.mutex);
+    for (TraceEvent& e : events) {
+      if (c.events.size() >= kMaxTraceEvents) {
+        c.overflowed = true;
+        break;
       }
-      events.clear();
+      c.events.push_back(e);
     }
+    events.clear();
   }
 };
 
 ThreadSink& sink() noexcept {
   thread_local ThreadSink s;
   return s;
+}
+
+void SinkRegistry::sum_into(StageCell (&out)[kStageCount]) const {
+  for (std::size_t i = 0; i < kStageCount; ++i) out[i] = retired[i];
+  for (const ThreadSink* s : live) {
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+      out[i].ns += s->cells[i].ns.load(std::memory_order_relaxed);
+      out[i].bytes += s->cells[i].bytes.load(std::memory_order_relaxed);
+      out[i].count += s->cells[i].count.load(std::memory_order_relaxed);
+    }
+  }
 }
 
 }  // namespace
@@ -132,26 +182,25 @@ std::uint64_t now_ns() noexcept {
 }
 
 StageTotals stage_totals() noexcept {
-  const GlobalTotals& g = global_totals();
+  SinkRegistry& r = registry();
   StageTotals totals;
+  const MutexLock lock(r.mutex);
+  r.sum_into(totals.cells);
   for (std::size_t i = 0; i < kStageCount; ++i) {
-    totals.cells[i].ns = g.ns[i].load(std::memory_order_relaxed);
-    totals.cells[i].bytes = g.bytes[i].load(std::memory_order_relaxed);
-    totals.cells[i].count = g.count[i].load(std::memory_order_relaxed);
+    totals.cells[i].ns -= r.baseline[i].ns;
+    totals.cells[i].bytes -= r.baseline[i].bytes;
+    totals.cells[i].count -= r.baseline[i].count;
   }
   return totals;
 }
 
 void reset_stage_totals() noexcept {
-  GlobalTotals& g = global_totals();
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    g.ns[i].store(0, std::memory_order_relaxed);
-    g.bytes[i].store(0, std::memory_order_relaxed);
-    g.count[i].store(0, std::memory_order_relaxed);
-  }
+  SinkRegistry& r = registry();
+  const MutexLock lock(r.mutex);
+  r.sum_into(r.baseline);
 }
 
-void flush_thread_stats() noexcept { sink().flush(); }
+void flush_thread_stats() noexcept { sink().flush_events(); }
 
 void set_tracing(bool on) noexcept {
   g_tracing.store(on, std::memory_order_relaxed);
@@ -236,11 +285,7 @@ Span::~Span() {
   const std::uint64_t end = now_ns();
   const std::uint64_t dur = end - start_ns_;
   ThreadSink& s = sink();
-  StageCell& cell = s.cells[static_cast<std::size_t>(stage_)];
-  cell.ns += dur;
-  cell.bytes += bytes_;
-  cell.count += 1;
-  s.dirty = true;
+  s.add(stage_, dur, bytes_);
   const TraceContext& ctx = current_trace();
   if (tracing_enabled() && (!ctx.valid() || ctx.sampled)) {
     s.events.push_back(
@@ -252,7 +297,7 @@ Span::~Span() {
   if (FlightRecorder* fr = active_flight_recorder()) {
     fr->note_span(stage_, start_ns_, dur, bytes_);
   }
-  if (--s.depth == 0) s.flush();
+  if (--s.depth == 0) s.flush_events();
 }
 
 }  // namespace ipd::obs

@@ -3,11 +3,13 @@
 // Two consumers share one instrumentation point (the RAII Span):
 //
 //  * per-stage aggregates — every Span accumulates {ns, bytes, count}
-//    into a thread-local sink; when the outermost span on a thread ends,
-//    the sink flushes into a global table of relaxed atomics. Always on:
-//    the cost is two steady_clock reads per (coarse) stage plus a few
-//    thread-local adds, and a handful of atomic adds per top-level
-//    operation. stage_totals() reads the table for the stats exposition.
+//    into cells of a thread-local sink that only its own thread writes.
+//    Every live sink is registered; stage_totals() sums the live sinks
+//    plus what exited threads folded in when they ended, so a span is
+//    visible as soon as it ends and the span itself writes no shared
+//    memory. Always on: the cost is two steady_clock reads per (coarse)
+//    stage plus a few thread-local stores. stage_totals() feeds the
+//    stats exposition.
 //
 //  * trace events — when tracing is enabled (off by default; runtime
 //    flag, no rebuild), each Span additionally records a timestamped
@@ -80,15 +82,17 @@ struct StageTotals {
   }
 };
 
-/// Snapshot of the global per-stage totals (flushed sinks only; a span
-/// still open on another thread is invisible until its top-level span
-/// ends or flush_thread_stats() runs there).
+/// Per-stage totals of every span that has ended, on any thread: the
+/// live threads' sinks plus the totals of threads that have exited. A
+/// span still open is not counted until it ends.
 StageTotals stage_totals() noexcept;
 
-/// Zero the global totals (bench phase boundaries, tests).
+/// Restart the totals from zero (bench phase boundaries, tests). Spans
+/// that end afterwards count; the threads' own cells are not written.
 void reset_stage_totals() noexcept;
 
-/// Push this thread's unflushed aggregates into the global table now.
+/// Move this thread's captured trace events to the export buffer now
+/// (the stage totals need no flush).
 void flush_thread_stats() noexcept;
 
 // ---- trace events ---------------------------------------------------

@@ -1,6 +1,7 @@
 #include "server/delta_cache.hpp"
 
 #include <bit>
+#include <iterator>
 
 #include "obs/event_ring.hpp"
 #include "verify/verifier.hpp"
@@ -33,13 +34,14 @@ std::shared_ptr<const Bytes> DeltaCache::get(const DeltaKey& key) {
     MutexLock lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      value = it->second->value;
+      Entry& entry = *it->second;
+      // Test before set: a hot entry's repeat hits stay read-only.
+      if (!entry.referenced) entry.referenced = true;
+      value = entry.value;
     }
   }
   if (metrics_ != nullptr) {
-    (value ? metrics_->cache_hits : metrics_->cache_misses)
-        .fetch_add(1, std::memory_order_relaxed);
+    (value ? metrics_->cache_hits : metrics_->cache_misses).add();
   }
   return value;
 }
@@ -58,13 +60,12 @@ bool DeltaCache::put(const DeltaKey& key,
         ++shard.rejected_unsafe;
       }
       if (metrics_ != nullptr) {
-        metrics_->verify_rejects.fetch_add(1, std::memory_order_relaxed);
+        metrics_->verify_rejects.add();
       }
       return false;
     }
     if (metrics_ != nullptr && report.warning_count() > 0) {
-      metrics_->verify_warns.fetch_add(report.warning_count(),
-                                       std::memory_order_relaxed);
+      metrics_->verify_warns.add(report.warning_count());
     }
   }
   std::uint64_t evicted = 0;
@@ -75,22 +76,31 @@ bool DeltaCache::put(const DeltaKey& key,
       ++shard.rejected;
       rejected = true;
     } else {
-      const auto it = shard.index.find(key);
+      auto it = shard.index.find(key);
       if (it != shard.index.end()) {
         shard.bytes -= it->second->value->size();
         it->second->value = std::move(value);
-        shard.bytes += size;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        shard.ring.splice(shard.ring.begin(), shard.ring, it->second);
       } else {
-        shard.lru.push_front(Entry{key, std::move(value)});
-        shard.index.emplace(key, shard.lru.begin());
-        shard.bytes += size;
+        shard.ring.push_front(Entry{key, std::move(value)});
+        it = shard.index.emplace(key, shard.ring.begin()).first;
       }
+      shard.bytes += size;
+      const Entry* const inserted = &*it->second;
+      // The sweep ends: one lap clears every reference bit, and the
+      // inserted entry alone fits (size <= shard_budget_), so after that
+      // each step evicts until the budget holds.
       while (shard.bytes > shard_budget_) {
-        const Entry& victim = shard.lru.back();
+        Entry& victim = shard.ring.back();
+        if (&victim == inserted || victim.referenced) {
+          victim.referenced = false;
+          shard.ring.splice(shard.ring.begin(), shard.ring,
+                            std::prev(shard.ring.end()));
+          continue;
+        }
         shard.bytes -= victim.value->size();
         shard.index.erase(victim.key);
-        shard.lru.pop_back();
+        shard.ring.pop_back();
         ++shard.evictions;
         ++evicted;
       }
@@ -98,10 +108,10 @@ bool DeltaCache::put(const DeltaKey& key,
   }
   if (metrics_ != nullptr) {
     if (evicted > 0) {
-      metrics_->evictions.fetch_add(evicted, std::memory_order_relaxed);
+      metrics_->evictions.add(evicted);
     }
     if (rejected) {
-      metrics_->rejected_inserts.fetch_add(1, std::memory_order_relaxed);
+      metrics_->rejected_inserts.add();
     }
   }
   if (evicted > 0) {
@@ -115,7 +125,7 @@ DeltaCache::Stats DeltaCache::stats() const {
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mutex);
     total.bytes_held += shard->bytes;
-    total.entries += shard->lru.size();
+    total.entries += shard->ring.size();
     total.evictions += shard->evictions;
     total.rejected += shard->rejected;
     total.rejected_unsafe += shard->rejected_unsafe;

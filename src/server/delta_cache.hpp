@@ -1,4 +1,4 @@
-// Sharded, byte-budgeted LRU cache of built delta artifacts.
+// Sharded, byte-budgeted CLOCK cache of built delta artifacts.
 //
 // DeltaFS's observation applies directly here: a delta between two
 // released versions is immutable and requested by every device making the
@@ -9,11 +9,19 @@
 // magnitude and an entry count says nothing about memory.
 //
 // Concurrency: the key space is hash-partitioned into independent shards,
-// each with its own mutex, LRU list, and slice of the byte budget, so
+// each with its own mutex, CLOCK ring, and slice of the byte budget, so
 // concurrent lookups on different deltas do not serialize. Values are
 // shared_ptr<const Bytes>: eviction only drops the cache's reference —
 // requests already holding the artifact keep a valid one (no
 // copy-under-lock, no use-after-evict).
+//
+// Replacement is CLOCK (second chance), an approximation of LRU whose
+// hits write no list: get() only sets the entry's reference bit, and
+// only if it is clear, so a hot entry's hits leave every cache line but
+// the shard mutex untouched. put() sweeps from the ring's tail: a
+// referenced entry has its bit cleared and moves to the head (its second
+// chance), an unreferenced one is evicted. The entry being inserted is
+// never a victim.
 #pragma once
 
 #include <cstdint>
@@ -74,11 +82,11 @@ class DeltaCache {
                       ServiceMetrics* metrics = nullptr,
                       const Verifier* gate = nullptr);
 
-  /// Look up and touch (moves the entry to the shard's MRU position).
+  /// Look up and mark the entry referenced (it survives the next sweep).
   std::shared_ptr<const Bytes> get(const DeltaKey& key);
 
-  /// Insert (or refresh) an entry, evicting LRU entries until the shard
-  /// fits its budget slice. Returns false — and caches nothing — when the
+  /// Insert (or refresh) an entry, evicting other entries by CLOCK until
+  /// the shard fits its budget slice; never evicts the entry inserted. Returns false — and caches nothing — when the
   /// value alone exceeds the slice (a delta bigger than that is cheaper
   /// to rebuild than to let it wipe out the whole shard), or when the
   /// verifier gate finds error-severity defects in it.
@@ -94,10 +102,12 @@ class DeltaCache {
   struct Entry {
     DeltaKey key;
     std::shared_ptr<const Bytes> value;
+    bool referenced = false;  ///< hit since the sweep last passed it
   };
   struct Shard {
     Mutex mutex{"DeltaCache::Shard"};
-    std::list<Entry> lru GUARDED_BY(mutex);  // front = most recently used
+    /// Front = newest insert or last second chance; sweeps start at back.
+    std::list<Entry> ring GUARDED_BY(mutex);
     std::unordered_map<DeltaKey, std::list<Entry>::iterator, DeltaKeyHash>
         index GUARDED_BY(mutex);
     std::uint64_t bytes GUARDED_BY(mutex) = 0;

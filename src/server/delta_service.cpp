@@ -32,11 +32,10 @@ DeltaService::DeltaService(const VersionStore& store,
 bool DeltaService::admit(ByteView artifact, std::string* why) {
   const Report report = verifier_.check(artifact);
   if (report.warning_count() > 0) {
-    metrics_.verify_warns.fetch_add(report.warning_count(),
-                                    std::memory_order_relaxed);
+    metrics_.verify_warns.add(report.warning_count());
   }
   if (report.ok()) return true;
-  metrics_.verify_rejects.fetch_add(1, std::memory_order_relaxed);
+  metrics_.verify_rejects.add();
   std::string reason = "delta failed static verification";
   for (const Finding& f : report.findings) {
     if (f.severity == Severity::kError) {
@@ -83,9 +82,8 @@ std::shared_ptr<const Bytes> DeltaService::fetch_delta(ReleaseId from,
           // concurrent builds and parallel stages share one
           // machine-sized pool with no oversubscription.
           BuildResult built = pipeline_.build_inplace(*reference, *version);
-          metrics_.builds.fetch_add(1, std::memory_order_relaxed);
-          metrics_.build_ns.fetch_add(built.timing.total_ns,
-                                      std::memory_order_relaxed);
+          metrics_.builds.add();
+          metrics_.build_ns.add(built.timing.total_ns);
           histograms_.build_latency_ns.record(built.timing.total_ns);
           histograms_.diff_fanout.record(built.timing.diff_segments);
           histograms_.crwi_fanout.record(built.timing.crwi_chunks);
@@ -114,7 +112,7 @@ std::shared_ptr<const Bytes> DeltaService::fetch_delta(ReleaseId from,
       &leader);
   if (!leader) {
     *coalesced = true;
-    metrics_.coalesced_waits.fetch_add(1, std::memory_order_relaxed);
+    metrics_.coalesced_waits.add();
   }
   return value;
 }
@@ -137,7 +135,7 @@ bool DeltaService::preload(ReleaseId from, ReleaseId to, Bytes delta) {
   if (!parsed || parsed->first.reference_length != store_.body(from)->size() ||
       parsed->first.version_length != want.length ||
       parsed->first.version_crc != want.crc) {
-    metrics_.verify_rejects.fetch_add(1, std::memory_order_relaxed);
+    metrics_.verify_rejects.add();
     obs::global_events().push(obs::EventType::kVerifyReject, from, to,
                               "preload endpoint mismatch");
     return false;
@@ -153,7 +151,7 @@ ServeResult DeltaService::serve(ReleaseId from, ReleaseId to) {
   if (from >= to || to >= releases) {
     throw ValidationError("delta service: need from < to < release_count");
   }
-  metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+  metrics_.requests.add();
   const std::uint64_t serve_start = obs::now_ns();
   obs::Span span(obs::Stage::kServe);
 
@@ -161,8 +159,9 @@ ServeResult DeltaService::serve(ReleaseId from, ReleaseId to) {
   result.cache_hit = true;
   bool hit = false;
 
-  const auto target = store_.body(to);
-  const std::uint64_t version_size = target->size();
+  // The content key carries the length, so a served delta never touches
+  // the release body; only a full-image response fetches it.
+  const std::uint64_t version_size = store_.content_key(to).length;
 
   auto direct = fetch_delta(from, to, &hit, &result.coalesced);
   result.cache_hit = hit;
@@ -193,28 +192,27 @@ ServeResult DeltaService::serve(ReleaseId from, ReleaseId to) {
         std::min({chain_bytes, direct_cost, image_cost});
     if (best == chain_bytes) {
       result.steps = std::move(chain);
-      metrics_.chains_served.fetch_add(1, std::memory_order_relaxed);
+      metrics_.chains_served.add();
     } else if (best == image_cost) {
-      result.steps.push_back(ServedStep{from, to, true, target});
-      metrics_.full_images_served.fetch_add(1, std::memory_order_relaxed);
+      result.steps.push_back(ServedStep{from, to, true, store_.body(to)});
+      metrics_.full_images_served.add();
     }
   } else if (!direct_wins &&
              static_cast<std::uint64_t>(direct->size()) > version_size) {
     // Single hop (or chain too long) and the delta is outright larger
     // than the file: ship the image.
-    result.steps.push_back(ServedStep{from, to, true, target});
-    metrics_.full_images_served.fetch_add(1, std::memory_order_relaxed);
+    result.steps.push_back(ServedStep{from, to, true, store_.body(to)});
+    metrics_.full_images_served.add();
   }
 
   if (result.steps.empty()) {
     result.steps.push_back(ServedStep{from, to, false, std::move(direct)});
-    metrics_.deltas_served.fetch_add(1, std::memory_order_relaxed);
+    metrics_.deltas_served.add();
   }
   for (const ServedStep& step : result.steps) {
     result.total_bytes += step.bytes->size();
   }
-  metrics_.bytes_served.fetch_add(result.total_bytes,
-                                  std::memory_order_relaxed);
+  metrics_.bytes_served.add(result.total_bytes);
   span.add_bytes(result.total_bytes);
   histograms_.serve_ns.record(obs::now_ns() - serve_start);
   histograms_.artifact_bytes.record(result.total_bytes);

@@ -4,7 +4,7 @@
 // Request path (store -> cache -> singleflight -> pool -> metrics):
 //
 //   serve(i, j)
-//     ├─ DeltaCache lookup on (i, j, pipeline fingerprint)   [sharded LRU]
+//     ├─ DeltaCache lookup on (i, j, pipeline fingerprint) [sharded CLOCK]
 //     ├─ miss: Singleflight — first thread in becomes the build leader,
 //     │        concurrent requesters for the same key wait for free
 //     ├─ leader: Pipeline::build_inplace(i, j) on the worker ThreadPool

@@ -4,14 +4,6 @@
 
 namespace ipd {
 
-namespace {
-
-std::uint64_t load(const std::atomic<std::uint64_t>& a) noexcept {
-  return a.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
 std::string ServiceMetrics::snapshot() const {
   std::string out;
   char label[40];
@@ -24,10 +16,10 @@ std::string ServiceMetrics::snapshot() const {
   });
   // Derived summaries. Worded so no counter name appears as a substring —
   // the exactly-once invariant on the generated lines above must hold.
-  const std::uint64_t n_builds = load(builds);
+  const std::uint64_t n_builds = builds.load();
   const double mean_build_ms =
       n_builds == 0 ? 0.0
-                    : static_cast<double>(load(build_ns)) / 1e6 /
+                    : static_cast<double>(build_ns.load()) / 1e6 /
                           static_cast<double>(n_builds);
   std::snprintf(line, sizeof line,
                 "hit rate:           %.1f%% of lookups\n"
@@ -38,14 +30,14 @@ std::string ServiceMetrics::snapshot() const {
 }
 
 void ServiceMetrics::reset() noexcept {
-#define IPD_RESET_COUNTER(name) name.store(0, std::memory_order_relaxed);
+#define IPD_RESET_COUNTER(name) name.reset();
   IPD_SERVICE_COUNTERS(IPD_RESET_COUNTER)
 #undef IPD_RESET_COUNTER
 }
 
 double ServiceMetrics::hit_rate() const noexcept {
-  const std::uint64_t hits = load(cache_hits);
-  const std::uint64_t lookups = hits + load(cache_misses);
+  const std::uint64_t hits = cache_hits.load();
+  const std::uint64_t lookups = hits + cache_misses.load();
   return lookups == 0 ? 0.0
                       : static_cast<double>(hits) /
                             static_cast<double>(lookups);

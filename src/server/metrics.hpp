@@ -1,11 +1,12 @@
-// Service observability: one cache-friendly block of atomic counters
-// plus the latency/size histograms served next to them.
+// Service observability: the request counters plus the latency/size
+// histograms served next to them.
 //
-// Every hot-path event increments exactly one relaxed atomic — no locks,
-// no strings, nothing that can stall a request thread. Relaxed ordering
-// is sufficient: counters are statistics, not synchronization; readers
-// (benches, the CLI, tests) only need eventually-consistent totals, and
-// every counter is monotone except the bytes_cached gauge.
+// Every hot-path event adds to one obs::Counter (obs/striped.hpp): a
+// relaxed atomic in the calling thread's own cache line, summed across
+// threads when read. No locks, no strings, and no cache line that two
+// request threads both write. Counters are statistics, not
+// synchronization; readers (benches, the CLI, tests) only need
+// eventually-consistent totals, and every counter is monotone.
 //
 // The counter and histogram inventories are single X-macro lists:
 // member declarations, for_each(), snapshot() and reset() are all
@@ -15,11 +16,11 @@
 // iterate the same lists.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "obs/histogram.hpp"
+#include "obs/striped.hpp"
 
 namespace ipd {
 
@@ -49,7 +50,7 @@ namespace ipd {
   X(net_shed)           /* load-shed refusals (ERROR{kShed} replies) */
 
 struct ServiceMetrics {
-#define IPD_DECLARE_COUNTER(name) std::atomic<std::uint64_t> name{0};
+#define IPD_DECLARE_COUNTER(name) obs::Counter name;
   IPD_SERVICE_COUNTERS(IPD_DECLARE_COUNTER)
 #undef IPD_DECLARE_COUNTER
 
@@ -57,8 +58,7 @@ struct ServiceMetrics {
   /// the snapshot, the Prometheus exposition and the drift tests share.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-#define IPD_VISIT_COUNTER(name) \
-  fn(#name, name.load(std::memory_order_relaxed));
+#define IPD_VISIT_COUNTER(name) fn(#name, name.load());
     IPD_SERVICE_COUNTERS(IPD_VISIT_COUNTER)
 #undef IPD_VISIT_COUNTER
   }
@@ -88,8 +88,8 @@ struct ServiceMetrics {
   X(net_queue_depth) /* queued outbound bytes per connection, sampled */
 
 /// The latency/size distributions recorded alongside ServiceMetrics.
-/// Same discipline as the counters: relaxed atomics only, generated
-/// iteration, reset at phase boundaries.
+/// Same discipline as the counters: per-thread relaxed atomics merged
+/// at read time, generated iteration, reset at phase boundaries.
 struct ServiceHistograms {
 #define IPD_DECLARE_HISTOGRAM(name) obs::Histogram name;
   IPD_SERVICE_HISTOGRAMS(IPD_DECLARE_HISTOGRAM)

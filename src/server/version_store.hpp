@@ -26,14 +26,19 @@
 // exist. Each shadowing publish increments the `duplicate_publishes`
 // counter so operators can spot republished content.
 //
-// Thread-safe: publishes take an exclusive lock, lookups a shared one.
+// Thread-safe: publish() and find() serialize on a lock, but the hot
+// lookups (release_count, body, content_key, latest) take none. The
+// history is append-only, so publish() fills the next slot of a chunked
+// array that never moves and then release-stores the count; a reader
+// acquire-loads the count and indexes. StoreBackedVersionStore overrides
+// every lookup and keeps its own locking.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "core/sync.hpp"
 #include "core/types.hpp"
@@ -93,9 +98,27 @@ class VersionStore {
   }
 
  private:
+  struct Slot {
+    std::shared_ptr<const Bytes> body;
+    ContentKey key;
+  };
+  /// Chunk k holds kFirstChunk << k slots, so ids [0, 2^32) need
+  /// kChunks chunks and a chunk, once allocated, never moves.
+  static constexpr std::size_t kFirstChunk = 64;
+  static constexpr std::size_t kChunks = 27;
+
+  /// Slot of a published id; throws ValidationError past the count.
+  const Slot& published(ReleaseId id) const;
+
   mutable SharedMutex mutex_{"VersionStore"};
-  std::vector<std::shared_ptr<const Bytes>> bodies_ GUARDED_BY(mutex_);
-  std::vector<ContentKey> keys_ GUARDED_BY(mutex_);
+  /// Lock-free reads, so not GUARDED_BY. Publication order: publish()
+  /// allocates a chunk when needed and writes slot `count_` while it
+  /// holds mutex_ as writer, then release-stores count_ + 1. Readers
+  /// acquire-load count_ and touch only slots below it, which were
+  /// written before that store; a published slot or chunk is never
+  /// written again or freed before the store is destroyed.
+  std::array<std::unique_ptr<Slot[]>, kChunks> chunks_;
+  std::atomic<std::size_t> count_{0};
   /// Latest id per content.
   std::map<ContentKey, ReleaseId> by_content_ GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> duplicate_publishes_{0};

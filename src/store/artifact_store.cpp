@@ -112,7 +112,7 @@ void ArtifactStore::load_locked() {
   recovery_.manifest_truncated = scan.truncated;
   recovery_.manifest_bytes_dropped = scan.truncated_bytes;
   if (scan.truncated) {
-    metrics_.torn_records_dropped.fetch_add(1, std::memory_order_relaxed);
+    metrics_.torn_records_dropped.add();
   }
   if (records.empty()) {
     throw StoreError("store: " + dir_.string() +
@@ -176,8 +176,7 @@ void ArtifactStore::load_locked() {
       }
       check_extent(rel);
       if (by_content_.contains(rel.key)) {
-        metrics_.duplicate_publishes.fetch_add(1,
-                                               std::memory_order_relaxed);
+        metrics_.duplicate_publishes.add();
       }
       by_content_[rel.key] = rel.id;
       releases_.push_back(rel);
@@ -200,8 +199,7 @@ void ArtifactStore::load_locked() {
                        std::to_string(type));
     }
   }
-  metrics_.releases_recovered.fetch_add(releases_.size(),
-                                        std::memory_order_relaxed);
+  metrics_.releases_recovered.add(releases_.size());
   recovery_.releases = releases_.size();
 
   // A crash between a segment append and its manifest record leaves an
@@ -210,8 +208,7 @@ void ArtifactStore::load_locked() {
   // before the tail stay until gc; they are referenced history.)
   if (segment_.size() > referenced_end) {
     recovery_.segment_orphan_bytes = segment_.size() - referenced_end;
-    metrics_.orphan_bytes_truncated.fetch_add(
-        recovery_.segment_orphan_bytes, std::memory_order_relaxed);
+    metrics_.orphan_bytes_truncated.add(recovery_.segment_orphan_bytes);
     segment_.truncate_to(referenced_end);
     if (options_.sync_writes) segment_.sync();
   }
@@ -299,7 +296,7 @@ void ArtifactStore::gate_delta_locked(ReleaseId id,
   }
   const Report report = verifier_.check(artifact);
   if (!report.ok()) {
-    metrics_.verify_rejects.fetch_add(1, std::memory_order_relaxed);
+    metrics_.verify_rejects.add();
     std::string why = "store: delta artifact for release " +
                       std::to_string(id) + " failed static verification";
     for (const Finding& f : report.findings) {
@@ -386,7 +383,7 @@ std::shared_ptr<const Bytes> ArtifactStore::reconstruct_locked(
     return std::make_shared<const Bytes>(std::move(*start));
   }
 
-  metrics_.reconstructs.fetch_add(1, std::memory_order_relaxed);
+  metrics_.reconstructs.add();
   Bytes image = std::move(*start);
   for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
     const Bytes artifact = artifact_locked(*it);
@@ -402,7 +399,7 @@ std::shared_ptr<const Bytes> ArtifactStore::reconstruct_locked(
                                        parsed.version_length));
     const length_t new_len = apply_delta_inplace(artifact, image);
     image.resize(static_cast<std::size_t>(new_len));
-    metrics_.chain_hops_applied.fetch_add(1, std::memory_order_relaxed);
+    metrics_.chain_hops_applied.add();
   }
   if (image.size() != rel.key.length || crc32c(image) != rel.key.crc) {
     throw StoreError("store: reconstruction of release " +
@@ -432,8 +429,7 @@ void ArtifactStore::append_manifest_locked(std::uint8_t type,
     append_varint(payload, r.segment_offset);
     append_varint(payload, r.stored_bytes);
   }
-  metrics_.bytes_appended.fetch_add(RecordLog::framed_size(payload.size()),
-                                    std::memory_order_relaxed);
+  metrics_.bytes_appended.add(RecordLog::framed_size(payload.size()));
   manifest_.append(payload);
   if (options_.sync_writes) manifest_.sync();
 }
@@ -452,13 +448,12 @@ ReleaseId ArtifactStore::append_release_locked(StoredKind kind,
   // Durability order: the artifact must be durable before the manifest
   // record that makes it reachable.
   rel.segment_offset = segment_.append(artifact);
-  metrics_.bytes_appended.fetch_add(RecordLog::framed_size(artifact.size()),
-                                    std::memory_order_relaxed);
+  metrics_.bytes_appended.add(RecordLog::framed_size(artifact.size()));
   if (options_.sync_writes) segment_.sync();
   append_manifest_locked(kRecPublish, rel);
 
   if (by_content_.contains(key)) {
-    metrics_.duplicate_publishes.fetch_add(1, std::memory_order_relaxed);
+    metrics_.duplicate_publishes.add();
   }
   by_content_[key] = rel.id;
   releases_.push_back(rel);
@@ -487,8 +482,7 @@ std::pair<Script, ReleaseId> ArtifactStore::fold_chain_locked(
     const Bytes artifact = artifact_locked(hop);
     gate_delta_locked(hop, artifact);
     Script script = deserialize_delta(artifact).script;
-    metrics_.fold_commands.fetch_add(script.size(),
-                                     std::memory_order_relaxed);
+    metrics_.fold_commands.add(script.size());
     if (first) {
       folded = std::move(script);
       first = false;
@@ -503,10 +497,10 @@ ReleaseId ArtifactStore::publish(Bytes body) {
   const std::uint64_t t0 = obs::now_ns();
   const ContentKey key{crc32c(body), body.size()};
   const WriterLock lock(mutex_);
-  metrics_.publishes.fetch_add(1, std::memory_order_relaxed);
+  metrics_.publishes.add();
 
   if (releases_.empty()) {
-    metrics_.baselines_stored.fetch_add(1, std::memory_order_relaxed);
+    metrics_.baselines_stored.add();
     const ReleaseId id =
         append_release_locked(StoredKind::kBaseline, 0, key, body);
     cache_.put(key, body);
@@ -535,8 +529,8 @@ ReleaseId ArtifactStore::publish(Bytes body) {
                                       options_.pipeline.convert, nullptr,
                                       options_.pipeline.compress_payload);
     if (policy_.accept_fold(folded.size(), body.size())) {
-      metrics_.folds.fetch_add(1, std::memory_order_relaxed);
-      metrics_.deltas_stored.fetch_add(1, std::memory_order_relaxed);
+      metrics_.folds.add();
+      metrics_.deltas_stored.add();
       const ReleaseId id =
           append_release_locked(StoredKind::kDelta, baseline, key, folded);
       cache_.put(key, body);
@@ -547,7 +541,7 @@ ReleaseId ArtifactStore::publish(Bytes body) {
   }
 
   if (decision.action == ChainAction::kNewBaseline) {
-    metrics_.baselines_stored.fetch_add(1, std::memory_order_relaxed);
+    metrics_.baselines_stored.add();
     const ReleaseId id =
         append_release_locked(StoredKind::kBaseline, 0, key, body);
     cache_.put(key, body);
@@ -555,7 +549,7 @@ ReleaseId ArtifactStore::publish(Bytes body) {
     return id;
   }
 
-  metrics_.deltas_stored.fetch_add(1, std::memory_order_relaxed);
+  metrics_.deltas_stored.add();
   const ReleaseId id =
       append_release_locked(StoredKind::kDelta, tip, key, built.delta);
   cache_.put(key, body);
@@ -583,11 +577,10 @@ bool ArtifactStore::compact(ReleaseId id) {
   rel.base = baseline;
   rel.stored_bytes = folded.size();
   rel.segment_offset = segment_.append(folded);
-  metrics_.bytes_appended.fetch_add(RecordLog::framed_size(folded.size()),
-                                    std::memory_order_relaxed);
+  metrics_.bytes_appended.add(RecordLog::framed_size(folded.size()));
   if (options_.sync_writes) segment_.sync();
   append_manifest_locked(kRecRepoint, rel);
-  metrics_.folds.fetch_add(1, std::memory_order_relaxed);
+  metrics_.folds.add();
   {
     // The artifact changed; the old verification verdict is stale.
     const MutexLock guard(verified_mutex_);
@@ -650,9 +643,8 @@ std::uint64_t ArtifactStore::gc() {
 
   const std::uint64_t after = segment_.size() + manifest_.size();
   const std::uint64_t reclaimed = before > after ? before - after : 0;
-  metrics_.gc_runs.fetch_add(1, std::memory_order_relaxed);
-  metrics_.gc_bytes_reclaimed.fetch_add(reclaimed,
-                                        std::memory_order_relaxed);
+  metrics_.gc_runs.add();
+  metrics_.gc_bytes_reclaimed.add(reclaimed);
   return reclaimed;
 }
 

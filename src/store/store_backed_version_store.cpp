@@ -11,12 +11,10 @@ StoreBackedVersionStore::StoreBackedVersionStore(
 }
 
 ReleaseId StoreBackedVersionStore::publish(Bytes body) {
-  const std::uint64_t before =
-      store_->metrics().duplicate_publishes.load(std::memory_order_relaxed);
+  const std::uint64_t before = store_->metrics().duplicate_publishes.load();
   auto shared = std::make_shared<const Bytes>(std::move(body));
   const ReleaseId id = store_->publish(*shared);
-  if (store_->metrics().duplicate_publishes.load(
-          std::memory_order_relaxed) > before) {
+  if (store_->metrics().duplicate_publishes.load() > before) {
     count_duplicate_publish();
   }
   memo_put(id, std::move(shared));

@@ -3,15 +3,15 @@
 // members, the iteration, the text snapshot, and the Prometheus
 // exposition, so a metric cannot be added to one and missed by another.
 //
-// Counters are relaxed atomics (statistics, not synchronization);
-// histograms are the lock-free obs::Histogram used everywhere else.
+// Counters and histograms are the per-thread striped obs::Counter and
+// obs::Histogram used everywhere else (statistics, not synchronization).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "obs/histogram.hpp"
+#include "obs/striped.hpp"
 
 namespace ipd {
 
@@ -37,14 +37,13 @@ namespace ipd {
   X(gc_bytes_reclaimed)     /* garbage segment bytes dropped            */
 
 struct StoreMetrics {
-#define IPD_DECLARE_COUNTER(name) std::atomic<std::uint64_t> name{0};
+#define IPD_DECLARE_COUNTER(name) obs::Counter name;
   IPD_STORE_COUNTERS(IPD_DECLARE_COUNTER)
 #undef IPD_DECLARE_COUNTER
 
   template <typename Fn>
   void for_each(Fn&& fn) const {
-#define IPD_VISIT_COUNTER(name) \
-  fn(#name, name.load(std::memory_order_relaxed));
+#define IPD_VISIT_COUNTER(name) fn(#name, name.load());
     IPD_STORE_COUNTERS(IPD_VISIT_COUNTER)
 #undef IPD_VISIT_COUNTER
   }
@@ -53,7 +52,7 @@ struct StoreMetrics {
   std::string snapshot() const;
 
   void reset() noexcept {
-#define IPD_RESET_COUNTER(name) name.store(0, std::memory_order_relaxed);
+#define IPD_RESET_COUNTER(name) name.reset();
     IPD_STORE_COUNTERS(IPD_RESET_COUNTER)
 #undef IPD_RESET_COUNTER
     histograms_reset();

@@ -12,11 +12,9 @@ namespace ipd {
 namespace {
 
 void count(StoreMetrics* metrics,
-           std::atomic<std::uint64_t> StoreMetrics::* counter,
+           obs::Counter StoreMetrics::* counter,
            std::uint64_t n = 1) noexcept {
-  if (metrics != nullptr) {
-    (metrics->*counter).fetch_add(n, std::memory_order_relaxed);
-  }
+  if (metrics != nullptr) (metrics->*counter).add(n);
 }
 
 /// Parse "<crc08x>-<len016x>.body" back into a ContentKey.

@@ -1,6 +1,7 @@
 // Concurrency hammering for src/obs/: many threads recording into one
-// histogram, pushing into the event ring while readers scan it, and
-// running spans that flush into the global stage totals. Run under
+// histogram or striped counter, pushing into the event ring while
+// readers scan it, and running spans whose per-thread totals
+// stage_totals() merges while threads come and go. Run under
 // IPDELTA_SANITIZE=thread via `ctest -L stress` — the lock-free claims
 // in obs/ are exactly the claims TSan checks here.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "obs/event_ring.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
+#include "obs/striped.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/watchdog.hpp"
@@ -245,6 +247,103 @@ TEST(ObsStress, ConcurrentTracingCapturesEverySpan) {
   EXPECT_EQ(json.back(), '}');
   clear_trace_events();
   reset_stage_totals();
+}
+
+TEST(ObsStress, StripedCountersAndHistogramsTotalExactlyAfterJoin) {
+  // More threads than stripes, started in waves so stripes are released
+  // and claimed again: sharing a stripe and inheriting one must both
+  // keep every record. A live reader merges the stripes throughout.
+  constexpr std::size_t kWaves = 3;
+  constexpr std::size_t kPerWave = kStripes + 4;
+  constexpr std::uint64_t kPerThread = 5'000;
+  Counter counter;
+  Histogram histogram;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::uint64_t now = counter.load();
+      EXPECT_GE(now, last);  // monotone under concurrent adds
+      last = now;
+      const HistogramSnapshot snap = histogram.snapshot();
+      EXPECT_LE(snap.count, kWaves * kPerWave * kPerThread);
+    }
+  });
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kPerWave; ++t) {
+      threads.emplace_back([&counter, &histogram] {
+        for (std::uint64_t i = 1; i <= kPerThread; ++i) {
+          counter.add(2);
+          histogram.record(i);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  constexpr std::uint64_t kRecords = kWaves * kPerWave * kPerThread;
+  EXPECT_EQ(counter.load(), 2 * kRecords);
+  const HistogramSnapshot snap = histogram.snapshot();
+  EXPECT_EQ(snap.count, kRecords);
+  EXPECT_EQ(histogram.count(), kRecords);
+  EXPECT_EQ(snap.sum, kWaves * kPerWave * (kPerThread * (kPerThread + 1) / 2));
+  // Per bucket: values 1..kPerThread land in bucket bit_width(v).
+  HistogramSnapshot one_thread;
+  for (std::uint64_t i = 1; i <= kPerThread; ++i) {
+    ++one_thread.buckets[Histogram::bucket_of(i)];
+  }
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    EXPECT_EQ(snap.buckets[b], one_thread.buckets[b] * kWaves * kPerWave);
+  }
+  counter.reset();
+  histogram.reset();
+  EXPECT_EQ(counter.load(), 0u);
+  EXPECT_EQ(histogram.snapshot().count, 0u);
+}
+
+TEST(ObsStress, StageTotalsReadWhileSpanThreadsStartAndExit) {
+  reset_stage_totals();
+  constexpr std::size_t kWaves = 6;
+  constexpr std::uint64_t kPerThread = 1'000;
+  constexpr std::uint64_t kSpans = kWaves * kThreads * kPerThread;
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      // Threads exiting fold their cells into the retired totals; the
+      // sum a reader sees must never step back or overshoot.
+      const StageTotals totals = stage_totals();
+      const std::uint64_t now = totals[Stage::kNetRequest].count;
+      EXPECT_GE(now, last);
+      EXPECT_LE(now, kSpans);
+      // A live cell's fields are read one by one, so bytes may be a
+      // span ahead of or behind count here; only their bound is fixed.
+      EXPECT_LE(totals[Stage::kNetRequest].bytes, 3 * kSpans);
+      last = now;
+    }
+  });
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i) {
+          Span span(Stage::kNetRequest, 3);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  const StageTotals totals = stage_totals();
+  EXPECT_EQ(totals[Stage::kNetRequest].count, kSpans);
+  EXPECT_EQ(totals[Stage::kNetRequest].bytes, 3 * kSpans);
+  reset_stage_totals();
+  EXPECT_EQ(stage_totals()[Stage::kNetRequest].count, 0u);
 }
 
 }  // namespace

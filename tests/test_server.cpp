@@ -1,5 +1,5 @@
 // Unit tests for the delta distribution service components: version
-// store, sharded LRU cache, singleflight, thread pool, metrics, and the
+// store, sharded CLOCK cache, singleflight, thread pool, metrics, and the
 // single-threaded behaviour of DeltaService itself. The multi-threaded
 // hammering lives in test_server_stress.cpp (ctest label: stress).
 #include <gtest/gtest.h>
@@ -164,6 +164,92 @@ TEST(DeltaCache, EvictionDoesNotInvalidateHandedOutValues) {
 
 TEST(DeltaCache, ZeroBudgetRejected) {
   EXPECT_THROW(DeltaCache(0, 4), ValidationError);
+}
+
+// CLOCK replacement: a sweep from the ring's tail gives referenced
+// entries a second chance and never picks the entry being inserted.
+
+TEST(DeltaCache, PutNeverEvictsTheEntryItInserts) {
+  ServiceMetrics metrics;
+  DeltaCache cache(100, 1, &metrics);
+  const auto forty = std::make_shared<const Bytes>(Bytes(40, 0x11));
+  cache.put(DeltaKey{0, 1, 0}, forty);
+  cache.put(DeltaKey{1, 2, 0}, forty);
+  // Both residents referenced: the sweep passes them once, reaches the
+  // new entry at the tail, and must skip it rather than evict it.
+  EXPECT_NE(cache.get(DeltaKey{0, 1, 0}), nullptr);
+  EXPECT_NE(cache.get(DeltaKey{1, 2, 0}), nullptr);
+  EXPECT_TRUE(cache.put(DeltaKey{2, 3, 0}, forty));
+  EXPECT_NE(cache.get(DeltaKey{2, 3, 0}), nullptr);
+  EXPECT_EQ(metrics.evictions.load(), 1u);
+
+  // An insert that needs the whole slice evicts every other entry, even
+  // the referenced ones, and still keeps itself.
+  const auto hundred = std::make_shared<const Bytes>(Bytes(100, 0x22));
+  EXPECT_TRUE(cache.put(DeltaKey{3, 4, 0}, hundred));
+  const auto kept = cache.get(DeltaKey{3, 4, 0});
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->size(), 100u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().bytes_held, 100u);
+  EXPECT_EQ(metrics.evictions.load(), 3u);
+}
+
+TEST(DeltaCache, EntryHitSinceLastSweepOutlivesOlderUnreferencedOne) {
+  DeltaCache cache(100, 1);
+  const auto forty = std::make_shared<const Bytes>(Bytes(40, 0x33));
+  const DeltaKey a{0, 1, 0}, b{1, 2, 0}, c{2, 3, 0}, d{3, 4, 0};
+  cache.put(a, forty);
+  cache.put(b, forty);
+  EXPECT_NE(cache.get(a), nullptr);  // a referenced, b not
+  cache.put(c, forty);               // sweep: a gets its second chance
+  EXPECT_EQ(cache.stats().entries, 2u);
+  // That sweep cleared a's bit. Now only c is hit, so the next sweep
+  // evicts a even though c was inserted after it.
+  EXPECT_NE(cache.get(c), nullptr);
+  cache.put(d, forty);
+  EXPECT_NE(cache.get(c), nullptr);
+  EXPECT_NE(cache.get(d), nullptr);
+  EXPECT_EQ(cache.get(a), nullptr);
+  EXPECT_EQ(cache.get(b), nullptr);
+}
+
+TEST(DeltaCache, StatsStayExactAcrossSweeps) {
+  ServiceMetrics metrics;
+  constexpr std::uint64_t kBudget = 1000;
+  DeltaCache cache(kBudget, 1, &metrics);
+  constexpr ReleaseId kKeys = 24;
+  std::vector<std::size_t> last_size(kKeys, 0);
+  Rng rng(77);
+  for (int op = 0; op < 2000; ++op) {
+    const auto k = static_cast<ReleaseId>(rng.below(kKeys));
+    if (rng.below(3) == 0) {
+      (void)cache.get(DeltaKey{k, k + 1, 0});
+    } else {
+      const std::size_t size = 1 + rng.below(200);
+      last_size[k] = size;
+      ASSERT_TRUE(cache.put(DeltaKey{k, k + 1, 0},
+                            std::make_shared<const Bytes>(Bytes(size, 0))));
+    }
+    if (op % 100 != 99) continue;
+    // Every resident entry holds its latest value, and the shard's
+    // byte and entry accounting matches what is actually resident.
+    const DeltaCache::Stats stats = cache.stats();
+    std::uint64_t bytes = 0;
+    std::size_t entries = 0;
+    for (ReleaseId key = 0; key < kKeys; ++key) {
+      if (const auto v = cache.get(DeltaKey{key, key + 1, 0})) {
+        EXPECT_EQ(v->size(), last_size[key]);
+        bytes += v->size();
+        ++entries;
+      }
+    }
+    EXPECT_EQ(stats.bytes_held, bytes);
+    EXPECT_EQ(stats.entries, entries);
+    EXPECT_LE(stats.bytes_held, kBudget);
+    EXPECT_EQ(stats.evictions, metrics.evictions.load());
+  }
+  EXPECT_GT(metrics.evictions.load(), 0u);
 }
 
 // ---------------------------------------------------------- singleflight

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/checksum.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "server/delta_service.hpp"
@@ -163,6 +164,62 @@ TEST(ServerStress, MixedPairsReconstructBitIdenticalUnderLoad) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(service.metrics().requests.load(), kThreads * 20);
+}
+
+TEST(ServerStress, VersionStorePublishRacesLockFreeReaders) {
+  // Enough releases to allocate several chunks of the slot array while
+  // readers index it without a lock.
+  constexpr std::size_t kReleases = 700;
+  constexpr std::size_t kReaders = 4;
+  VersionStore store;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> failures{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(900 + t);
+      // A reader that sees a count must find every slot below it
+      // written: body and content key present and consistent.
+      const auto check = [&](ReleaseId id) {
+        const auto body = store.body(id);
+        const ContentKey key = store.content_key(id);
+        if (body == nullptr || key.length != body->size() ||
+            key.crc != crc32c(*body)) {
+          ++failures;
+        }
+      };
+      do {
+        const std::size_t n = store.release_count();
+        if (n == 0) continue;
+        check(static_cast<ReleaseId>(n - 1));  // the newest slot
+        check(static_cast<ReleaseId>(rng.below(n)));
+        if (store.latest() < n - 1) ++failures;  // count never shrinks
+        reads.fetch_add(1, std::memory_order_relaxed);
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  std::thread publisher([&] {
+    for (std::size_t i = 0; i < kReleases; ++i) {
+      const ReleaseId id = store.publish(test::random_bytes(i, 1 + i % 257));
+      if (id != i) ++failures;
+    }
+    done.store(true, std::memory_order_release);
+  });
+  publisher.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  ASSERT_EQ(store.release_count(), kReleases);
+  for (std::size_t i = 0; i < kReleases; ++i) {
+    const auto id = static_cast<ReleaseId>(i);
+    EXPECT_TRUE(test::bytes_equal(*store.body(id),
+                                  test::random_bytes(i, 1 + i % 257)));
+    EXPECT_EQ(store.content_key(id).crc, crc32c(*store.body(id)));
+  }
+  EXPECT_THROW(store.body(static_cast<ReleaseId>(kReleases)),
+               ValidationError);
 }
 
 }  // namespace
