@@ -8,10 +8,10 @@
 // requests pay Pipeline::build_inplace once per distinct (from, to) pair,
 // everyone after rides the cache or coalesces.
 //
-// Runs standalone with no arguments (CI smoke). The warm section is
-// time-based: each thread count runs five 0.5 s volleys and reports the
-// median rate (about 10 s in all). IPDELTA_BENCH_SERVE_OPS sets the
-// request count of the tracing-overhead volleys.
+// Runs standalone with no arguments (CI smoke). The warm and
+// tracing-overhead sections are time-based: each configuration runs
+// five volleys and reports the median rate (about 14 s in all). The
+// front-end section holds 320 live TCP connections on the reactor.
 //
 // Prints a human table, then one `JSON {...}` line for the tracked
 // trend file:
@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,7 +169,7 @@ int check_stats_exposition(const DeltaService& service) {
 /// fires `rounds` warm GET_DELTA requests in lockstep (request -> END
 /// timed into `latency`) while the other conns - 1 sessions stay live.
 /// Returns false when the run failed (a connection refused or timed
-/// out), which for the front-end comparison is itself the result.
+/// out).
 bool drive_front_end(std::uint16_t port, std::size_t conns,
                      std::size_t rounds, std::size_t releases,
                      obs::Histogram& latency) {
@@ -218,10 +217,9 @@ int main() {
   for (const Bytes& release : history) store.publish(release);
   const std::size_t releases = store.release_count();
 
-  std::size_t trace_ops = 40'000;
-  if (const char* env = std::getenv("IPDELTA_BENCH_SERVE_OPS")) {
-    trace_ops = std::strtoull(env, nullptr, 10);
-  }
+  constexpr std::size_t kRepeats = 5;
+  constexpr double kWarmVolleySeconds = 0.5;
+  constexpr double kTraceVolleySeconds = 0.2;
 
   std::printf("bench_server: %zu releases x %zu KiB, %u hardware threads\n",
               releases, history[0].size() >> 10,
@@ -230,7 +228,8 @@ int main() {
 
   std::string json = "{\"bench\":\"server\",\"releases\":" +
                      std::to_string(releases) +
-                     ",\"trace_volley_ops\":" + std::to_string(trace_ops);
+                     ",\"trace_volley_seconds\":" +
+                     std::to_string(kTraceVolleySeconds);
 
   // ---- cold start: build amortization --------------------------------
   {
@@ -259,14 +258,12 @@ int main() {
   bench::rule();
 
   // ---- warm cache: throughput vs. client threads ---------------------
-  // One service, fully warmed, then each thread count runs kWarmRepeats
+  // One service, fully warmed, then each thread count runs kRepeats
   // time-based volleys; the table reports the median rate. The serving
   // path never builds: it is store lookup + sharded CLOCK cache +
   // per-thread telemetry cells, which is what has to scale.
   int exposition_missing = 0;
   {
-    constexpr double kWarmVolleySeconds = 0.5;
-    constexpr std::size_t kWarmRepeats = 5;
     ServiceOptions options;
     options.cache_budget = 64ull << 20;
     options.workers = 4;
@@ -275,7 +272,7 @@ int main() {
     run_load(service, releases, 4, 2048, 0x3A3A, latency);  // warm every pair
 
     std::printf("warm cache, median of %zu x %.1fs volleys per thread count:\n",
-                kWarmRepeats, kWarmVolleySeconds);
+                kRepeats, kWarmVolleySeconds);
     std::printf("  %-8s %12s %12s %10s   %s\n", "threads", "req/s", "MiB/s",
                 "hit rate", "serve latency");
     double base = 0;
@@ -284,7 +281,7 @@ int main() {
       latency.reset();
       std::vector<double> rates;
       const double seconds = bench::time_seconds([&] {
-        for (std::size_t rep = 0; rep < kWarmRepeats; ++rep) {
+        for (std::size_t rep = 0; rep < kRepeats; ++rep) {
           rates.push_back(timed_volley(service, releases, threads,
                                        kWarmVolleySeconds,
                                        0xBEEF + 16 * threads + rep, latency));
@@ -316,85 +313,45 @@ int main() {
   }
   bench::rule();
 
-  // ---- front end: held-open connections, reactor vs thread-per-conn --
-  // The scaling claim of the epoll front end: one reactor thread carries
-  // an order of magnitude more live connections than the retired
-  // thread-per-connection loop afforded threads, with per-request p99
-  // no worse. The baseline is serve_session() itself — the exact
-  // blocking session loop the old front end ran on every thread —
-  // behind a hand-rolled accept loop.
+  // ---- front end: held-open connections on the reactor --------------
+  // One reactor thread carries kConns live TCP connections; every one
+  // handshakes, then each fires warm requests in turn while the others
+  // stay connected. The per-request p99 is the number to watch.
   {
-    constexpr std::size_t kThreadedConns = 32;
-    constexpr std::size_t kReactorConns = 320;
+    constexpr std::size_t kConns = 320;
     constexpr std::size_t kRounds = 4;
     ServiceOptions options;
     options.cache_budget = 64ull << 20;
     options.workers = 4;
     DeltaService service(store, options);
-    // Warm every adjacent pair once so both front ends serve pure cache
-    // hits: the numbers compare wire paths, not build scheduling luck.
+    // Warm every adjacent pair once so the reactor serves pure cache
+    // hits: the number measures the wire path, not build scheduling.
     for (std::size_t from = 0; from + 1 < releases; ++from) {
       (void)service.serve(static_cast<ReleaseId>(from),
                           static_cast<ReleaseId>(from + 1));
     }
-    bool net_ok = true;
-    obs::Histogram threaded_latency;
-    obs::Histogram reactor_latency;
+    bool net_ok = false;
+    obs::Histogram latency;
     try {
-      {
-        TcpListener listener(0);
-        DeltaServer sessions(service);  // session loop only, never started
-        std::vector<std::thread> per_conn;
-        std::thread acceptor([&] {
-          while (std::unique_ptr<TcpTransport> t = listener.accept()) {
-            per_conn.emplace_back(
-                [&sessions, conn = std::move(t)]() mutable {
-                  try {
-                    sessions.serve_session(*conn);
-                  } catch (const Error&) {
-                  }
-                });
-          }
-        });
-        net_ok = drive_front_end(listener.port(), kThreadedConns, kRounds,
-                                 releases, threaded_latency);
-        listener.close();
-        acceptor.join();
-        for (std::thread& t : per_conn) t.join();
-      }
-      {
-        ServerConfig net;
-        net.max_connections = kReactorConns + 16;
-        net.idle_timeout_ms = 60'000;
-        DeltaServer reactor(service, net);
-        reactor.start();
-        net_ok = net_ok && drive_front_end(reactor.port(), kReactorConns,
-                                           kRounds, releases,
-                                           reactor_latency);
-        reactor.stop();
-      }
+      ServerConfig net;
+      net.max_connections = kConns + 16;
+      net.idle_timeout_ms = 60'000;
+      DeltaServer reactor(service, net);
+      reactor.start();
+      net_ok = drive_front_end(reactor.port(), kConns, kRounds, releases,
+                               latency);
+      reactor.stop();
     } catch (const TransportError&) {
       net_ok = false;
     }
     if (net_ok) {
-      const double threaded_p99 =
-          threaded_latency.snapshot().quantile(0.99) / 1e3;
-      const double reactor_p99 =
-          reactor_latency.snapshot().quantile(0.99) / 1e3;
-      const double scaling = static_cast<double>(kReactorConns) /
-                             static_cast<double>(kThreadedConns);
+      const double p99 = latency.snapshot().quantile(0.99) / 1e3;
       std::printf(
           "front end (%zu warm requests per connection):\n"
-          "  thread-per-conn %4zu live connections, request p99 %8.1f us\n"
-          "  epoll reactor   %4zu live connections, request p99 %8.1f us "
-          "(%.0fx connections)\n",
-          kRounds, kThreadedConns, threaded_p99, kReactorConns, reactor_p99,
-          scaling);
-      json += ",\"conns_threaded\":" + std::to_string(kThreadedConns) +
-              ",\"conns_reactor\":" + std::to_string(kReactorConns) +
-              ",\"conn_scaling_x\":" + std::to_string(scaling) +
-              ",\"threaded_p99_us\":" + std::to_string(threaded_p99) +
-              ",\"reactor_p99_us\":" + std::to_string(reactor_p99);
+          "  epoll reactor   %4zu live connections, request p99 %8.1f us\n",
+          kRounds, kConns, p99);
+      json += ",\"conns_reactor\":" + std::to_string(kConns) +
+              ",\"reactor_p99_us\":" + std::to_string(p99);
     } else {
       std::printf("front end: localhost sockets unavailable, skipped\n");
       json += ",\"net_skipped\":true";
@@ -403,11 +360,11 @@ int main() {
   bench::rule();
 
   // ---- tracing overhead: the span plumbing's cost on the warm path ---
-  // Three identical volleys against one warm service: tracing off
-  // (baseline), tracing on (Chrome-trace capture live), tracing off
-  // again. on-vs-off is the capture cost; the off/off delta bounds what
-  // the disabled-tracing branch costs — the number that must stay under
-  // 2% for tracing to be safe to ship enabled-but-dormant fleet-wide.
+  // Three volley kinds against one warm service: tracing off (baseline),
+  // tracing on (Chrome-trace capture live), tracing off again. on-vs-off
+  // is the capture cost; the off/off delta bounds what the
+  // disabled-tracing branch costs — the number that must stay under 2%
+  // for tracing to be safe to ship enabled-but-dormant fleet-wide.
   {
     ServiceOptions options;
     options.cache_budget = 64ull << 20;
@@ -415,32 +372,39 @@ int main() {
     DeltaService service(store, options);
     obs::Histogram latency;
     run_load(service, releases, 4, 2048, 0x7A3A, latency);  // warm every pair
-    // Interleaved best-of-seven, single client thread: every round
-    // measures off / on / off back-to-back, so a burst of competing
-    // load lands on all three configurations instead of skewing
-    // whichever one it overlapped, and the best round approximates the
-    // uncontended cost. One thread keeps scheduler noise out of what is
-    // a per-call-overhead measurement, not a scaling one.
-    const std::size_t volley_ops = trace_ops;
-    const auto volley = [&](std::uint64_t seed) {
-      latency.reset();
-      const LoadResult r =
-          run_load(service, releases, 1, volley_ops, seed, latency);
-      return static_cast<double>(r.requests) / r.seconds;
-    };
-    double off_rate = 0, on_rate = 0, off_again_rate = 0;
+    // Interleaved, single client thread, the warm section's time-based
+    // scheme: every round runs off / on / off back-to-back, so a burst
+    // of competing load lands on all three configurations instead of
+    // skewing whichever one it overlapped, and each configuration
+    // reports the median of its kRepeats volleys. One thread keeps
+    // scheduler noise out of what is a per-call-overhead measurement,
+    // not a scaling one.
+    std::vector<double> off_rates, on_rates, off_again_rates;
     std::size_t captured = 0;
-    for (std::uint64_t rep = 0; rep < 7; ++rep) {
+    for (std::uint64_t rep = 0; rep < kRepeats; ++rep) {
       obs::set_tracing(false);
-      off_rate = std::max(off_rate, volley(0x0FF1 + rep));
+      off_rates.push_back(timed_volley(service, releases, 1,
+                                       kTraceVolleySeconds, 0x0FF1 + rep,
+                                       latency));
       obs::clear_trace_events();
       obs::set_tracing(true);
-      on_rate = std::max(on_rate, volley(0x0A11 + rep));
+      on_rates.push_back(timed_volley(service, releases, 1,
+                                      kTraceVolleySeconds, 0x0A11 + rep,
+                                      latency));
       obs::set_tracing(false);
       captured = obs::trace_event_count();
       obs::clear_trace_events();
-      off_again_rate = std::max(off_again_rate, volley(0x0FF2 + rep));
+      off_again_rates.push_back(timed_volley(service, releases, 1,
+                                             kTraceVolleySeconds,
+                                             0x0FF2 + rep, latency));
     }
+    const auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    const double off_rate = median(off_rates);
+    const double on_rate = median(on_rates);
+    const double off_again_rate = median(off_again_rates);
     const double on_overhead_pct = (off_rate / on_rate - 1.0) * 100.0;
     const double off_overhead_pct =
         (std::max(off_rate, off_again_rate) /
@@ -448,11 +412,12 @@ int main() {
          1.0) *
         100.0;
     std::printf(
-        "tracing overhead (1 thread, best of 7 x %zu requests):\n"
-        "  off %.0f req/s, on %.0f req/s (%zu span events captured)\n"
+        "tracing overhead (1 thread, median of %zu x %.1fs volleys):\n"
+        "  off %.0f req/s, on %.0f req/s (%zu span events in the last "
+        "traced volley)\n"
         "  capture cost %.2f%%; off-path run-to-run delta %.2f%%\n",
-        volley_ops, off_rate, on_rate, captured, on_overhead_pct,
-        off_overhead_pct);
+        kRepeats, kTraceVolleySeconds, off_rate, on_rate, captured,
+        on_overhead_pct, off_overhead_pct);
     json += ",\"trace_off_req_per_sec\":" + std::to_string(off_rate) +
             ",\"trace_on_req_per_sec\":" + std::to_string(on_rate) +
             ",\"trace_on_overhead_pct\":" + std::to_string(on_overhead_pct) +

@@ -8,6 +8,7 @@
 #include "corpus/mutation.hpp"
 #include "ipdelta.hpp"
 #include "net/frame.hpp"
+#include "net/protocol.hpp"
 
 namespace ipd::fuzzcorpus {
 
@@ -74,6 +75,61 @@ std::vector<Bytes> frame_seeds() {
   seeds.push_back(flipped(seeds[3], seeds[3].size() - 1, 0x40));
   seeds.push_back(flipped(seeds[0], 0, 0x01));
   seeds.push_back(truncated(stream, stream.size() / 2));
+  return seeds;
+}
+
+std::vector<Bytes> message_seeds() {
+  obs::TraceContext trace;
+  trace.trace_hi = 0x1122334455667788ull;
+  trace.trace_lo = 0x99AABBCCDDEEFF00ull;
+  trace.span_id = 0x0123456789ABCDEFull;
+  trace.parent_span_id = 0;
+  trace.sampled = true;
+  const auto stream = [](std::initializer_list<Bytes> frames) {
+    Bytes out;
+    for (const Bytes& f : frames) out.insert(out.end(), f.begin(), f.end());
+    return out;
+  };
+
+  DeltaBeginMsg begin;
+  begin.from = 0;
+  begin.to = 1;
+  begin.last_hop = 1;
+  begin.total_size = 64;
+  begin.reference_length = 4096;
+  begin.version_length = 4100;
+  begin.artifact_crc = 0xC0FFEE01;
+  Bytes chunk(64);
+  Rng rng(0xF1A5);
+  rng.fill(chunk);
+
+  std::vector<Bytes> seeds;
+  // Client requests, as a device sends them.
+  seeds.push_back(encode_message(HelloMsg{kProtocolVersion, 4096}));
+  seeds.push_back(stream({encode_message(HelloMsg{kProtocolVersionTraced, 512}),
+                          encode_message(GetDeltaMsg{0, 1}, &trace)}));
+  seeds.push_back(stream({encode_message(HelloMsg{kProtocolVersion, 1024}),
+                          encode_message(ResumeMsg{0, 1, 32, 0xC0FFEE01})}));
+  // Server replies, traced.
+  seeds.push_back(stream({encode_message(HelloAckMsg{kProtocolVersionTraced,
+                                                     2, 1, 512},
+                                         &trace),
+                          encode_message(begin, &trace),
+                          encode_message(DeltaDataMsg{0, chunk}, &trace),
+                          encode_message(DeltaEndMsg{64, 0xC0FFEE01},
+                                         &trace)}));
+  // The remaining message types.
+  seeds.push_back(stream({encode_message(ErrorMsg{ErrorCode::kShed, "busy"}),
+                          encode_message(MetricsReqMsg{}),
+                          encode_message(MetricsMsg{"requests: 1\n"}),
+                          encode_message(StatsReqMsg{}),
+                          encode_message(StatsMsg{"ipdelta_requests 1\n"})}));
+  // Rejection paths: sound frames the decoder must refuse (short and
+  // overlong fixed-size payloads), a flipped payload byte, a torn tail.
+  seeds.push_back(encode_frame(FrameType::kGetDelta, Bytes(3, 0x01)));
+  seeds.push_back(encode_frame(FrameType::kHello, Bytes(9, 0x02)));
+  seeds.push_back(flipped(seeds[1], seeds[1].size() - 6, 0x08));
+  seeds.push_back(truncated(seeds[3], seeds[3].size() - 5));
   return seeds;
 }
 

@@ -29,6 +29,9 @@ ApplyJournalOptions fuzz_journal_options() noexcept;
 
 /// Seed inputs per target. Each Bytes is one corpus file.
 std::vector<Bytes> frame_seeds();
+/// Frame streams carrying every protocol message, v1 and traced, plus
+/// frames that pass the frame layer but not the message decoder.
+std::vector<Bytes> message_seeds();
 std::vector<Bytes> codec_seeds();
 std::vector<Bytes> apply_journal_seeds();
 /// Record-region images (everything after the 16-byte file header; the

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   };
   const Target targets[] = {
       {"frame", &ipd::fuzzcorpus::frame_seeds},
+      {"message", &ipd::fuzzcorpus::message_seeds},
       {"codec", &ipd::fuzzcorpus::codec_seeds},
       {"apply_journal", &ipd::fuzzcorpus::apply_journal_seeds},
       {"record_log", &ipd::fuzzcorpus::record_log_seeds},

@@ -17,7 +17,6 @@
 #include "device/updater.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
-#include "net/loopback_transport.hpp"
 
 namespace ipd {
 namespace {
@@ -130,21 +129,16 @@ bool run_device(FleetState& fleet, std::size_t index) {
     if (cuts_left > 0) {
       device.inject_power_failure_after(1 + rng.below(write_bound));
     }
-    std::vector<std::thread> sessions;
     const auto factory = [&]() -> std::unique_ptr<Transport> {
-      auto [client_end, server_end] = make_loopback_pair();
-      sessions.emplace_back(
-          [&server = fleet.server, end = std::move(server_end)]() mutable {
-            server.serve_session(*end);
-          });
-      if (!faulty_links) return std::move(client_end);
+      std::unique_ptr<Transport> link = fleet.server.connect_local();
+      if (!faulty_links) return link;
       FaultOptions faults;
       faults.seed = derive_seed(derive_seed(o.seed, index), connection++);
       faults.drop_rate = o.drop_rate;
       faults.truncate_rate = o.truncate_rate;
       faults.flip_rate = o.flip_rate;
       faults.grace_ops = o.grace_ops;
-      return std::make_unique<FaultyTransport>(std::move(client_end), faults,
+      return std::make_unique<FaultyTransport>(std::move(link), faults,
                                                &fleet.fault_stats);
     };
 
@@ -172,7 +166,6 @@ bool run_device(FleetState& fleet, std::size_t index) {
       gave_up = ++restarts >= std::max<std::size_t>(
                                   o.rollout.max_attempts_per_device, 1);
     }
-    for (std::thread& t : sessions) t.join();
 
     if (reboot) {
       // "Reboot": disarm the simulator, drop all client-side RAM state
@@ -335,8 +328,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   VersionStore store;
   for (const Bytes& body : history) store.publish(body);
   DeltaService service(store, ServiceOptions{});
-  // Never start()ed: devices connect through in-memory loopback pairs
-  // served by serve_session, so campaigns run where sockets don't.
+  // Never start()ed: devices connect through connect_local() socket
+  // pairs into the server's reactor, so campaigns run the production
+  // session loop with no TCP port.
   DeltaServer server(service, ServerConfig{});
 
   std::size_t max_len = 0;

@@ -6,9 +6,10 @@
 // versions, every link optionally fault-injected (drops, truncations,
 // bit flips via net/faulty_transport), and power cuts injected at
 // arbitrary apply offsets — through the wire protocol to the newest
-// release. Devices connect over deterministic in-memory loopback pairs
-// served by DeltaServer::serve_session, so a 10k-device campaign runs in
-// one process with no sockets and is bit-reproducible from its seed.
+// release. Devices connect through DeltaServer::connect_local socket
+// pairs into the same epoll reactor that serves TCP, so a 10k-device
+// campaign runs in one process with no TCP port; every device's faults,
+// cuts and start release derive from its seed.
 //
 // Each device follows one of the two client stories:
 //   * streaming (default): OtaClient::update_device_streaming — artifact
@@ -81,8 +82,8 @@ struct CampaignOptions {
   /// load-bearing under fault injection: a bit flip in a frame's length
   /// prefix (outside the payload CRC) stalls both peers mid-read, and
   /// the timeout is what turns that stall into a retryable
-  /// TransportError (tearing down the connection also frees the blocked
-  /// server session).
+  /// TransportError (tearing down the connection also frees the server's
+  /// half-read connection).
   OtaClientOptions client{/*max_attempts=*/8, /*backoff_initial_ms=*/1,
                           /*backoff_max_ms=*/8, /*max_chunk=*/4096,
                           /*read_timeout_ms=*/1000};

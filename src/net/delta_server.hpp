@@ -1,12 +1,21 @@
 // DeltaServer: the wire front end of the delta distribution service.
 //
-// The TCP path is an epoll reactor (net/reactor.hpp): one event-loop
-// thread multiplexes every connection with non-blocking framed I/O,
-// bounded per-connection output queues, and zero-copy writev of cached
-// artifacts. CPU-bound delta builds run on the DeltaService's shared
-// build pool via serve_async(); a completed build re-arms its connection
-// for writing through an eventfd mailbox. The loop thread never blocks
-// on a socket or a build.
+// Every session runs through one epoll reactor (net/reactor.hpp): one
+// event-loop thread multiplexes every connection with non-blocking
+// framed I/O, bounded per-connection output queues, and zero-copy
+// writev of cached artifacts. CPU-bound delta builds run on the
+// DeltaService's shared build pool via serve_async(); a completed build
+// re-arms its connection for writing through an eventfd mailbox. The
+// loop thread never blocks on a socket or a build.
+//
+// Connections reach the loop two ways, and take the same path from
+// admission on:
+//   * start() binds a TCP listener on 127.0.0.1;
+//   * connect_local() hands the loop one end of an AF_UNIX socket pair
+//     and returns the other — no TCP port, so tests and the campaign
+//     simulator run the production session loop where localhost TCP is
+//     unavailable.
+// Either one starts the loop; they work in either order.
 //
 // Operational guard rails (all typed, never a silent stall):
 //   * connection limit — excess clients get ERROR{kShed} and a close
@@ -17,12 +26,6 @@
 //     idle_timeout_ms is dropped;
 //   * per-request errors (unknown release ids, bad resume offsets) are
 //     answered with typed ERROR frames and the connection stays up.
-//
-// serve_session() remains the blocking, transport-agnostic session loop:
-// the loopback tests and the campaign simulator drive the full protocol
-// through it without a socket, and it shares the request-planning logic
-// (net/transfer_plan.hpp) with the reactor so the two fronts cannot
-// drift.
 //
 // One request streams ONE artifact: the first step of the route the
 // service picked. A chain upgrade is the client asking hop by hop, so
@@ -52,9 +55,16 @@ class DeltaServer {
   DeltaServer(const DeltaServer&) = delete;
   DeltaServer& operator=(const DeltaServer&) = delete;
 
-  /// Bind the TCP listener and start the reactor. Throws TransportError
-  /// if the bind fails.
+  /// Bind the TCP listener and start the reactor if connect_local() has
+  /// not. Throws TransportError if the bind fails, Error if already
+  /// started.
   void start();
+
+  /// Open a session with the reactor over a fresh socket pair and return
+  /// the client end (blocking, like TcpTransport::connect). Starts the
+  /// reactor if it is not running; binds no TCP port. Thread-safe.
+  /// Throws TransportError if the pair cannot be made.
+  std::unique_ptr<Transport> connect_local();
 
   /// Stop accepting, close every live connection, and join the reactor.
   /// Idempotent; also run by the destructor.
@@ -63,33 +73,23 @@ class DeltaServer {
   /// Actual listening port (after start()).
   std::uint16_t port() const;
 
-  /// Run one protocol session over `transport`, blocking until the peer
-  /// hangs up or the connection faults. Used directly by the loopback
-  /// tests and the campaign simulator; independent of start()/stop().
-  void serve_session(Transport& transport);
-
   /// Connections currently registered with the reactor.
   std::size_t active_sessions() const;
 
   const ServerConfig& config() const noexcept { return config_; }
 
  private:
-  void handle_transfer(FramedConnection& conn, ReleaseId from, ReleaseId to,
-                       std::uint64_t offset, std::uint32_t resume_crc,
-                       bool is_resume, std::size_t chunk);
-  std::size_t send_counted(FramedConnection& conn, const Message& message);
+  Reactor& running_reactor() REQUIRES(state_mutex_);
 
   DeltaService& service_;
   ServerConfig config_;
 
-  std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<Reactor> reactor_;
-
+  /// start(), stop() and connect_local() may race from different
+  /// threads (the destructor runs stop() from whichever thread drops
+  /// the server); exactly one concurrent start() wins.
   mutable Mutex state_mutex_{"DeltaServer::state"};
-  /// start() and stop() may race from different threads (the destructor
-  /// runs stop() from whichever thread drops the server); the flag is
-  /// guarded so exactly one concurrent start() wins.
-  bool started_ GUARDED_BY(state_mutex_) = false;
+  std::unique_ptr<TcpListener> listener_ GUARDED_BY(state_mutex_);
+  std::unique_ptr<Reactor> reactor_ GUARDED_BY(state_mutex_);
 };
 
 }  // namespace ipd

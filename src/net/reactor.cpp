@@ -22,6 +22,7 @@
 #include "net/protocol.hpp"
 #include "net/transfer_plan.hpp"
 #include "obs/event_ring.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/watchdog.hpp"
@@ -105,13 +106,15 @@ struct BuildDone {
   std::exception_ptr error;
 };
 
-/// Cross-thread completion mailbox. Build callbacks hold a shared_ptr to
-/// this, so a completion firing after the reactor is gone just posts
-/// into a mailbox nobody will read — the eventfd lives (and dies) with
-/// the last reference, never with the reactor.
+/// Cross-thread mailbox: finished builds from pool workers and adopted
+/// sockets from DeltaServer::connect_local callers. Build callbacks hold
+/// a shared_ptr to this, so a completion firing after the reactor is
+/// gone just posts into a mailbox nobody will read — the eventfd lives
+/// (and dies) with the last reference, never with the reactor.
 struct ReactorMailbox {
   Mutex mutex{"Reactor::mailbox"};
   std::vector<BuildDone> done GUARDED_BY(mutex);
+  std::vector<std::unique_ptr<TcpTransport>> adopted GUARDED_BY(mutex);
   int event_fd = -1;
 
   ~ReactorMailbox() {
@@ -126,24 +129,40 @@ struct ReactorMailbox {
     kick();
   }
 
+  void post(std::unique_ptr<TcpTransport> transport) {
+    {
+      MutexLock lock(mutex);
+      adopted.push_back(std::move(transport));
+    }
+    kick();
+  }
+
   void kick() const noexcept {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n =
         ::write(event_fd, &one, sizeof one);  // loop also ticks; best effort
   }
 
-  std::vector<BuildDone> drain() {
+  struct Batch {
+    std::vector<BuildDone> done;
+    std::vector<std::unique_ptr<TcpTransport>> adopted;
+  };
+
+  Batch drain() {
     std::uint64_t counter = 0;
     while (::read(event_fd, &counter, sizeof counter) > 0) {
     }
-    std::vector<BuildDone> batch;
+    Batch batch;
     MutexLock lock(mutex);
-    batch.swap(done);
+    batch.done.swap(done);
+    batch.adopted.swap(adopted);
     return batch;
   }
 };
 
 struct Conn {
+  explicit Conn(const std::string& peer) : flight("server:" + peer) {}
+
   std::uint64_t id = 0;
   std::unique_ptr<TcpTransport> transport;
   int fd = -1;
@@ -173,6 +192,9 @@ struct Conn {
   std::unique_ptr<obs::WatchdogGuard> watchdog;
 
   std::uint64_t last_activity_ns = 0;
+  /// Installed (FlightScope) while the loop works on this connection;
+  /// dumped on corrupt input and refused resumes.
+  obs::FlightRecorder flight;
 
   bool idle() const noexcept { return !in_flight && !close_after_flush; }
 };
@@ -180,23 +202,27 @@ struct Conn {
 struct Reactor::Impl {
   DeltaService& service;
   const ServerConfig& config;
-  TcpListener& listener;
   std::atomic<std::size_t>& live;
   std::atomic<bool>& stopping;
 
   int epoll_fd = -1;
+  /// Set by Reactor::listen() before the listener joins the epoll set,
+  /// so the loop only reads it after a listener event.
+  std::atomic<TcpListener*> listener{nullptr};
   std::shared_ptr<ReactorMailbox> mailbox;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
+  /// Dropped connections, destroyed once the event batch is done: a
+  /// FlightScope installed on the loop thread may still point at a
+  /// dropped connection's recorder until its handler returns.
+  std::vector<std::unique_ptr<Conn>> retired;
   std::uint64_t next_id = kFirstConnId;
   std::size_t pending_builds = 0;
   std::size_t max_pending_builds = 0;
 
   Impl(DeltaService& service_in, const ServerConfig& config_in,
-       TcpListener& listener_in, std::atomic<std::size_t>& live_in,
-       std::atomic<bool>& stopping_in)
+       std::atomic<std::size_t>& live_in, std::atomic<bool>& stopping_in)
       : service(service_in),
         config(config_in),
-        listener(listener_in),
         live(live_in),
         stopping(stopping_in) {}
 
@@ -204,7 +230,7 @@ struct Reactor::Impl {
     if (epoll_fd >= 0) ::close(epoll_fd);
   }
 
-  // ---- metrics plumbing (mirrors DeltaServer::send_counted) -----------
+  // ---- metrics plumbing -----------------------------------------------
 
   /// Count an outgoing frame the moment it is queued: an observer that
   /// has consumed the frame must see the counters it implies, and queue
@@ -339,8 +365,9 @@ struct Reactor::Impl {
     }
     c.watchdog.reset();
     c.transport->close();
-    const std::uint64_t id = c.id;  // copy: erase destroys c
-    conns.erase(id);
+    const auto it = conns.find(c.id);
+    retired.push_back(std::move(it->second));
+    conns.erase(it);
     live.fetch_sub(1, std::memory_order_relaxed);
   }
 
@@ -423,27 +450,36 @@ struct Reactor::Impl {
       std::optional<Frame> frame;
       try {
         frame = c.reader.next();
-      } catch (const FormatError&) {
-        drop(c);  // corrupt inbound frame: the stream cannot be trusted
-        return false;
+      } catch (const FormatError& e) {
+        // corrupt inbound frame: the stream cannot be trusted past it
+        return refuse_stream(c, e, "corrupt inbound frame");
       }
       if (!frame) break;
-      Message message;
-      try {
-        message = decode_message(*frame);
-      } catch (const FormatError&) {
-        drop(c);
-        return false;
-      }
       // Adopt the frame's trace context for everything this request
       // does: serve/build spans become children of the client's request
-      // span, and replies echo the context back (on v2 sessions).
+      // span, replies echo the context back (on v2 sessions), and the
+      // flight recorder is keyed by it.
       const obs::TraceContext inbound =
           frame->trace ? *frame->trace : obs::TraceContext{};
       c.ctx = inbound.valid() ? obs::child_of(inbound) : obs::TraceContext{};
+      if (c.ctx.valid()) c.flight.set_context(c.ctx);
+      Message message;
+      try {
+        message = decode_message(*frame);
+      } catch (const FormatError& e) {
+        return refuse_stream(c, e, "undecodable inbound message");
+      }
       dispatch(c, message);
     }
     return true;
+  }
+
+  /// Leave the evidence and hang up; always returns false (dropped).
+  bool refuse_stream(Conn& c, const FormatError& e, const char* reason) {
+    c.flight.note(e.what());
+    obs::dump_flight(c.flight, reason);
+    drop(c);
+    return false;
   }
 
   void dispatch(Conn& c, const Message& message) {
@@ -548,11 +584,16 @@ struct Reactor::Impl {
   // ---- mailbox --------------------------------------------------------
 
   void drain_mailbox() {
-    for (BuildDone& d : mailbox->drain()) {
+    ReactorMailbox::Batch batch = mailbox->drain();
+    for (std::unique_ptr<TcpTransport>& transport : batch.adopted) {
+      admit(std::move(transport));
+    }
+    for (BuildDone& d : batch.done) {
       if (pending_builds > 0) --pending_builds;
       const auto it = conns.find(d.conn_id);
       if (it == conns.end()) continue;  // peer left while we built
       Conn& c = *it->second;
+      const obs::FlightScope flight(c.flight);
       if (d.error) {
         try {
           std::rethrow_exception(d.error);
@@ -569,6 +610,9 @@ struct Reactor::Impl {
                                         d.resume_crc, d.is_resume);
       if (plan.error) {
         enqueue_message(c, *plan.error);
+        if (plan.refusal_note != nullptr) {
+          obs::dump_flight(c.flight, plan.refusal_note);
+        }
         c.in_flight = false;
         flush_writes(c);
         continue;
@@ -598,12 +642,12 @@ struct Reactor::Impl {
     }
   }
 
-  // ---- accept ---------------------------------------------------------
+  // ---- admission ------------------------------------------------------
 
   /// Refuse a connection over the limit with a best-effort typed reply.
   /// The socket is fresh (empty send buffer), so the single nonblocking
-  /// send of the tiny ERROR frame virtually always lands; either way the
-  /// accept path never blocks and the listener never stalls.
+  /// send of the tiny ERROR frame virtually always lands; either way
+  /// admission never blocks and the listener never stalls.
   void shed_connection(std::unique_ptr<TcpTransport> transport) {
     service.metrics().net_rejected.add();
     count_shed(live.load(std::memory_order_relaxed), config.max_connections);
@@ -617,38 +661,45 @@ struct Reactor::Impl {
     transport->close();
   }
 
+  /// Register one connected socket, accepted or adopted, with the loop.
+  void admit(std::unique_ptr<TcpTransport> transport) {
+    if (stopping.load(std::memory_order_relaxed) ||
+        live.load(std::memory_order_relaxed) >= config.max_connections) {
+      shed_connection(std::move(transport));
+      return;
+    }
+    transport->set_nonblocking(true);
+    auto conn = std::make_unique<Conn>(transport->peer());
+    conn->id = next_id++;
+    conn->fd = transport->native_handle();
+    conn->transport = std::move(transport);
+    conn->chunk = config.chunk_bytes;
+    conn->events = EPOLLIN | EPOLLRDHUP;
+    conn->last_activity_ns = obs::now_ns();
+    epoll_event ev{};
+    ev.events = conn->events;
+    ev.data.u64 = conn->id;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
+      conn->transport->close();
+      return;
+    }
+    service.metrics().net_sessions.add();
+    conns.emplace(conn->id, std::move(conn));
+    live.fetch_add(1, std::memory_order_relaxed);
+  }
+
   void accept_ready() {
+    TcpListener* l = listener.load(std::memory_order_acquire);
+    if (l == nullptr) return;
     for (;;) {
       std::unique_ptr<TcpTransport> transport;
       try {
-        transport = listener.try_accept();
+        transport = l->try_accept();
       } catch (const TransportError&) {
-        return;  // listener closed under us (stop in progress)
+        return;  // accept failed; the next readiness event retries
       }
       if (!transport) return;
-      if (stopping.load(std::memory_order_relaxed) ||
-          live.load(std::memory_order_relaxed) >= config.max_connections) {
-        shed_connection(std::move(transport));
-        continue;
-      }
-      transport->set_nonblocking(true);
-      auto conn = std::make_unique<Conn>();
-      conn->id = next_id++;
-      conn->fd = transport->native_handle();
-      conn->transport = std::move(transport);
-      conn->chunk = config.chunk_bytes;
-      conn->events = EPOLLIN | EPOLLRDHUP;
-      conn->last_activity_ns = obs::now_ns();
-      epoll_event ev{};
-      ev.events = conn->events;
-      ev.data.u64 = conn->id;
-      if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
-        conn->transport->close();
-        continue;
-      }
-      service.metrics().net_sessions.add();
-      conns.emplace(conn->id, std::move(conn));
-      live.fetch_add(1, std::memory_order_relaxed);
+      admit(std::move(transport));
     }
   }
 
@@ -658,6 +709,7 @@ struct Reactor::Impl {
     const auto it = conns.find(id);
     if (it == conns.end()) return;  // dropped earlier in this batch
     Conn& c = *it->second;
+    const obs::FlightScope flight(c.flight);
     if (ev & (EPOLLHUP | EPOLLERR)) {
       drop(c);
       return;
@@ -722,19 +774,18 @@ struct Reactor::Impl {
         scan_idle();
         last_scan = now;
       }
+      retired.clear();
     }
   }
 };
 
-Reactor::Reactor(DeltaService& service, const ServerConfig& config,
-                 TcpListener& listener)
-    : service_(service), config_(config), listener_(listener) {}
+Reactor::Reactor(DeltaService& service, const ServerConfig& config)
+    : service_(service), config_(config) {}
 
 Reactor::~Reactor() { stop(); }
 
 void Reactor::start() {
-  auto impl = std::make_unique<Impl>(service_, config_, listener_, live_,
-                                     stopping_);
+  auto impl = std::make_unique<Impl>(service_, config_, live_, stopping_);
   impl->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (impl->epoll_fd < 0) {
     throw TransportError(NetErrc::kPoll, "reactor: epoll_create1",
@@ -755,15 +806,7 @@ void Reactor::start() {
           ? config_.max_pending_builds
           : std::max<std::size_t>(2 * service_.build_workers(), 64);
 
-  listener_.set_nonblocking(true);
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerTag;
-  if (::epoll_ctl(impl->epoll_fd, EPOLL_CTL_ADD, listener_.native_handle(),
-                  &ev) != 0) {
-    throw TransportError(NetErrc::kPoll, "reactor: epoll_ctl listener",
-                         errno_message(errno));
-  }
   ev.events = EPOLLIN;
   ev.data.u64 = kMailboxTag;
   if (::epoll_ctl(impl->epoll_fd, EPOLL_CTL_ADD, impl->mailbox->event_fd,
@@ -784,9 +827,30 @@ void Reactor::stop() {
   if (impl_) {
     for (auto& [id, conn] : impl_->conns) conn->transport->close();
     impl_->conns.clear();
+    impl_->retired.clear();
+    // Sockets adopted after the loop's last drain: close them so their
+    // clients see EOF instead of waiting on a loop that is gone.
+    impl_->mailbox->drain();
     live_.store(0, std::memory_order_relaxed);
     impl_.reset();
   }
+}
+
+void Reactor::listen(TcpListener& listener) {
+  impl_->listener.store(&listener, std::memory_order_release);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenerTag;
+  if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, listener.native_handle(),
+                  &ev) != 0) {
+    impl_->listener.store(nullptr, std::memory_order_relaxed);
+    throw TransportError(NetErrc::kPoll, "reactor: epoll_ctl listener",
+                         errno_message(errno));
+  }
+}
+
+void Reactor::adopt(std::unique_ptr<TcpTransport> transport) {
+  impl_->mailbox->post(std::move(transport));
 }
 
 void Reactor::run() { impl_->run(); }

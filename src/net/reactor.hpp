@@ -1,7 +1,10 @@
-// Epoll reactor: the non-blocking TCP front end behind DeltaServer.
+// Epoll reactor: the one session loop behind DeltaServer.
 //
-// One event-loop thread owns every connection. Sockets are non-blocking;
-// each connection is a pair of small state machines:
+// One event-loop thread owns every connection: those accepted from an
+// optional TcpListener and those handed over ready-connected through
+// adopt() (DeltaServer::connect_local's socket pairs). Both kinds take
+// the same path from admission on. Sockets are non-blocking; each
+// connection is a pair of small state machines:
 //
 //   read side    idle -> (frame assembled) -> dispatch -> awaiting build
 //                EPOLLIN is armed only while idle: the protocol is
@@ -23,9 +26,14 @@
 // DeltaService's build pool via serve_async(), and completion comes back
 // through an eventfd mailbox that re-arms the connection for writing.
 //
+// Each connection owns a flight recorder (label "server:<peer>", keyed
+// by the request's trace id), installed while the loop works on that
+// connection and dumped on a corrupt frame, an undecodable message or a
+// refused resume.
+//
 // Saturation load-sheds instead of stalling:
-//   * connection limit — the accept path answers ERROR{kShed} on the
-//     fresh socket and closes it; accepts never stop draining.
+//   * connection limit — admission answers ERROR{kShed} on the fresh
+//     socket and closes it; accepts never stop draining.
 //   * build-queue limit — a request beyond max_pending_builds gets
 //     ERROR{kShed} immediately (the connection stays up) instead of
 //     queueing behind seconds of build latency.
@@ -44,10 +52,9 @@ namespace ipd {
 
 class Reactor {
  public:
-  /// `service` and `listener` must outlive the reactor. `config` must
-  /// already be validated() — DeltaServer does this once at start().
-  Reactor(DeltaService& service, const ServerConfig& config,
-          TcpListener& listener);
+  /// `service` must outlive the reactor. `config` must already be
+  /// validated() — DeltaServer does this once, in its constructor.
+  Reactor(DeltaService& service, const ServerConfig& config);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -60,6 +67,18 @@ class Reactor {
   /// Signal the loop, join it, and close every connection. Idempotent.
   void stop();
 
+  /// Also accept connections from `listener`, which must outlive the
+  /// reactor. Call at most once, after start() and not concurrently
+  /// with start() or stop(). Throws TransportError if the listener
+  /// cannot be watched.
+  void listen(TcpListener& listener);
+
+  /// Serve an already-connected stream socket exactly like an accepted
+  /// one: the connection limit, the session count, the idle scan. The
+  /// loop picks it up through the eventfd mailbox. Safe from any thread
+  /// after start(), but not concurrently with start() or stop().
+  void adopt(std::unique_ptr<TcpTransport> transport);
+
   /// Connections currently registered with the loop.
   std::size_t active_connections() const noexcept {
     return live_.load(std::memory_order_relaxed);
@@ -71,7 +90,6 @@ class Reactor {
 
   DeltaService& service_;
   const ServerConfig config_;
-  TcpListener& listener_;
   std::unique_ptr<Impl> impl_;
   std::thread thread_;
   std::atomic<bool> stopping_{false};

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -121,7 +120,7 @@ void TcpTransport::set_nonblocking(bool enabled) {
 }
 
 TcpListener::TcpListener(std::uint16_t port, int backlog) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) raise_errno(NetErrc::kSocket, "tcp: listener socket");
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -148,24 +147,7 @@ TcpListener::TcpListener(std::uint16_t port, int backlog) {
   port_ = ntohs(addr.sin_port);
 }
 
-TcpListener::~TcpListener() {
-  close();
-  ::close(fd_);
-}
-
-std::unique_ptr<TcpTransport> TcpListener::accept() {
-  while (!closed_.load(std::memory_order_relaxed)) {
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      raise_errno(NetErrc::kPoll, "tcp: poll");
-    }
-    if (ready == 0) continue;  // poll timeout: re-check the stop flag
-    if (std::unique_ptr<TcpTransport> conn = try_accept()) return conn;
-  }
-  return nullptr;
-}
+TcpListener::~TcpListener() { ::close(fd_); }
 
 std::unique_ptr<TcpTransport> TcpListener::try_accept() {
   for (;;) {
@@ -175,26 +157,12 @@ std::unique_ptr<TcpTransport> TcpListener::try_accept() {
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return nullptr;
-      if (closed_.load(std::memory_order_relaxed)) return nullptr;
       raise_errno(NetErrc::kAccept, "tcp: accept");
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return std::make_unique<TcpTransport>(fd, describe(addr));
   }
-}
-
-void TcpListener::set_nonblocking(bool enabled) {
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags < 0) raise_errno(NetErrc::kSocket, "tcp: fcntl(F_GETFL)");
-  const int want = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (::fcntl(fd_, F_SETFL, want) != 0) {
-    raise_errno(NetErrc::kSocket, "tcp: fcntl(F_SETFL)");
-  }
-}
-
-void TcpListener::close() noexcept {
-  closed_.store(true, std::memory_order_relaxed);
 }
 
 }  // namespace ipd

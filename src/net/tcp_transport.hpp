@@ -1,11 +1,12 @@
-// Real POSIX TCP implementation of the Transport interface.
+// POSIX stream-socket implementation of the Transport interface: TCP
+// connections, and any other connected stream descriptor it is handed
+// (DeltaServer::connect_local wraps both ends of an AF_UNIX socket pair).
 //
 // Blocking sockets, one per session. close() uses shutdown(2) rather
 // than close(2) so a read blocked on another thread wakes immediately
 // without an fd-reuse race; the descriptor is released only by the
-// destructor. Idle timeouts map to SO_RCVTIMEO. The listener's accept
-// loop polls with a short timeout so stop requests take effect promptly
-// and deterministically on every platform.
+// destructor. Idle timeouts map to SO_RCVTIMEO. The listener is
+// non-blocking and feeds the server's epoll reactor.
 #pragma once
 
 #include <atomic>
@@ -23,7 +24,8 @@ class TcpTransport final : public Transport {
   static std::unique_ptr<TcpTransport> connect(const std::string& host,
                                                std::uint16_t port);
 
-  /// Adopt an already-connected descriptor (listener side).
+  /// Adopt an already-connected stream descriptor (accepted, or one end
+  /// of a socket pair); the transport owns it from here on.
   TcpTransport(int fd, std::string peer);
   ~TcpTransport() override;
 
@@ -32,8 +34,11 @@ class TcpTransport final : public Transport {
   void close() noexcept override;
   void set_read_timeout(int ms) override;
   std::string peer() const override { return peer_; }
-  int native_handle() const noexcept override { return fd_; }
-  void set_nonblocking(bool enabled) override;
+
+  /// The socket, for the reactor's epoll set.
+  int native_handle() const noexcept { return fd_; }
+  /// Switch the socket between blocking and non-blocking mode.
+  void set_nonblocking(bool enabled);
 
  private:
   int fd_;
@@ -43,10 +48,10 @@ class TcpTransport final : public Transport {
 
 class TcpListener {
  public:
-  /// Bind and listen on 127.0.0.1:`port`; 0 picks an ephemeral port
-  /// (read it back with port()). Throws TransportError on failure —
-  /// callers in sandboxed environments should treat that as "no network
-  /// here" and skip, not crash.
+  /// Bind and listen, non-blocking, on 127.0.0.1:`port`; 0 picks an
+  /// ephemeral port (read it back with port()). Throws TransportError on
+  /// failure — callers in sandboxed environments should treat that as
+  /// "no network here", not crash.
   explicit TcpListener(std::uint16_t port, int backlog = 64);
   ~TcpListener();
 
@@ -55,28 +60,17 @@ class TcpListener {
 
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Block (in ~100 ms polls) for the next connection; nullptr once
-  /// close() has been called. Throws TransportError on accept failure.
-  std::unique_ptr<TcpTransport> accept();
-
-  /// Accept without blocking: the next queued connection, or nullptr
-  /// when none is pending (or the listener is closed). Pair with
-  /// set_nonblocking(true) and an epoll watch on native_handle().
+  /// The next queued connection, or nullptr when none is pending.
+  /// Pair with an epoll watch on native_handle(). Throws TransportError
+  /// on accept failure.
   std::unique_ptr<TcpTransport> try_accept();
 
   /// Listening descriptor, for event-driven accept loops.
   int native_handle() const noexcept { return fd_; }
 
-  /// Switch the listening socket between blocking and non-blocking.
-  void set_nonblocking(bool enabled);
-
-  /// Stop accepting; a blocked accept() returns nullptr within one poll.
-  void close() noexcept;
-
  private:
   int fd_;
   std::uint16_t port_ = 0;
-  std::atomic<bool> closed_{false};
 };
 
 }  // namespace ipd

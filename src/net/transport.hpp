@@ -1,12 +1,11 @@
 // Byte-stream transport abstraction the protocol runs over.
 //
-// Three implementations ship: real POSIX TCP (net/tcp_transport.hpp), a
-// deterministic in-memory loopback for tests (net/loopback_transport.hpp),
-// and a fault-injecting decorator (net/faulty_transport.hpp). The server
-// and OTA client are written against this interface only, so every
-// protocol path can be exercised without a socket — and every fault the
-// decorator can invent is, by construction, survivable by the same code
-// that runs in production.
+// Two implementations ship: POSIX stream sockets (net/tcp_transport.hpp:
+// TCP, or the AF_UNIX pairs DeltaServer::connect_local hands out) and a
+// fault-injecting decorator (net/faulty_transport.hpp). The OTA client
+// is written against this interface only, so every fault the decorator
+// can invent is, by construction, survivable by the same code that runs
+// in production.
 #pragma once
 
 #include <cstdint>
@@ -36,20 +35,11 @@ class Transport {
   virtual void close() noexcept = 0;
 
   /// Bound how long read_some blocks; 0 disables. Default: unsupported
-  /// no-op (the loopback pair is never idle in tests that use it).
+  /// no-op.
   virtual void set_read_timeout(int /*ms*/) {}
 
-  /// Peer description for diagnostics ("127.0.0.1:4242", "loopback", ...).
+  /// Peer description for diagnostics ("127.0.0.1:4242", "local", ...).
   virtual std::string peer() const = 0;
-
-  /// OS descriptor for event-driven I/O (the epoll reactor), or -1 when
-  /// the transport has none (loopback, decorators). A transport that
-  /// returns a real fd must also support set_nonblocking().
-  virtual int native_handle() const noexcept { return -1; }
-
-  /// Switch the descriptor between blocking and non-blocking mode.
-  /// Default: unsupported no-op (blocking-only transports).
-  virtual void set_nonblocking(bool /*enabled*/) {}
 };
 
 /// One protocol conversation over a transport: pumps frames in and out

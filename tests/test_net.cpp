@@ -1,6 +1,7 @@
-// Unit tests for src/net/: framing, message codec, loopback transport,
-// fault injection, and full protocol sessions driven over the loopback
-// pair (no sockets — the TCP path is covered by test_net_e2e.cpp).
+// Unit tests for src/net/: framing, message codec, the stream-socket
+// transport, fault injection, and full protocol sessions with the
+// server's reactor over DeltaServer::connect_local socket pairs (no TCP
+// port — the TCP listener path is covered by test_net_e2e.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,8 @@
 #include "delta/codec.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
-#include "net/loopback_transport.hpp"
 #include "net/ota_client.hpp"
+#include "socket_pair.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -163,10 +164,10 @@ TEST(Protocol, ShortPayloadRejected) {
   EXPECT_THROW(decode_message(frame), FormatError);
 }
 
-// -------------------------------------------------------------- loopback
+// ----------------------------------------------------------- socket pair
 
-TEST(Loopback, BytesFlowBothWaysAndCloseMeansEof) {
-  auto [a, b] = make_loopback_pair();
+TEST(SocketPair, BytesFlowBothWaysAndCloseMeansEof) {
+  auto [a, b] = test::socket_pair();
   a->write_all(test::ramp_bytes(10));
   Bytes buf(10);
   EXPECT_EQ(b->read_some(buf), 10u);
@@ -178,8 +179,8 @@ TEST(Loopback, BytesFlowBothWaysAndCloseMeansEof) {
   EXPECT_THROW(b->write_all(buf), TransportError);
 }
 
-TEST(Loopback, CloseWakesABlockedReader) {
-  auto [a, b] = make_loopback_pair();
+TEST(SocketPair, CloseWakesABlockedReader) {
+  auto [a, b] = test::socket_pair();
   std::thread reader([&] {
     Bytes buf(8);
     EXPECT_EQ(b->read_some(buf), 0u);
@@ -191,7 +192,7 @@ TEST(Loopback, CloseWakesABlockedReader) {
 // ---------------------------------------------------------------- faulty
 
 TEST(Faulty, FlippedWriteIsCaughtByFrameCrcOnTheOtherSide) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = test::socket_pair();
   FaultOptions faults;
   faults.seed = 99;
   faults.flip_rate = 1.0;
@@ -205,7 +206,7 @@ TEST(Faulty, FlippedWriteIsCaughtByFrameCrcOnTheOtherSide) {
 }
 
 TEST(Faulty, DropKillsTheConnectionAndPeerSeesTruncation) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = test::socket_pair();
   FaultOptions faults;
   faults.seed = 7;
   faults.drop_rate = 1.0;
@@ -221,7 +222,7 @@ TEST(Faulty, DropKillsTheConnectionAndPeerSeesTruncation) {
 }
 
 TEST(Faulty, TruncationDeliversAPrefixThenEof) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = test::socket_pair();
   FaultOptions faults;
   faults.seed = 12;
   faults.truncate_rate = 1.0;
@@ -238,7 +239,7 @@ TEST(Faulty, TruncationDeliversAPrefixThenEof) {
 }
 
 TEST(Faulty, GraceOpsLetTheHandshakeThrough) {
-  auto [a, b] = make_loopback_pair();
+  auto [a, b] = test::socket_pair();
   FaultOptions faults;
   faults.seed = 5;
   faults.drop_rate = 1.0;
@@ -249,48 +250,33 @@ TEST(Faulty, GraceOpsLetTheHandshakeThrough) {
   EXPECT_THROW(chaos.write_all(test::ramp_bytes(4)), TransportError);
 }
 
-// ------------------------------------------------- session over loopback
+// ------------------------------------------- session over a local socket
 
-struct LoopbackRig {
+struct LocalRig {
   VersionStore store;
   std::unique_ptr<DeltaService> service;
   std::unique_ptr<DeltaServer> server;
   std::vector<Bytes> history;
 
-  explicit LoopbackRig(std::size_t releases, std::uint64_t seed = 33,
-                       const ServerConfig& net = {}) {
+  explicit LocalRig(std::size_t releases, std::uint64_t seed = 33,
+                    const ServerConfig& net = {}) {
     history = make_history(releases, seed);
     for (const Bytes& body : history) store.publish(body);
     service = std::make_unique<DeltaService>(store, ServiceOptions{});
     server = std::make_unique<DeltaServer>(*service, net);
   }
 
-  /// Run one server session over a fresh loopback pair; returns the
-  /// client end. Caller must close it before the rig dies.
-  std::unique_ptr<Transport> connect(std::thread& session_thread) {
-    auto [client_end, server_end] = make_loopback_pair();
-    session_thread = std::thread(
-        [this, server = std::move(server_end)]() mutable {
-          this->server->serve_session(*server);
-        });
-    return std::move(client_end);
-  }
+  /// A fresh session with the server's reactor; returns the client end.
+  std::unique_ptr<Transport> connect() { return server->connect_local(); }
 };
 
-TEST(Session, StreamingClientUpgradesOverLoopback) {
-  LoopbackRig rig(4);
-  std::vector<std::thread> sessions;
+TEST(Session, StreamingClientUpgradesOverALocalSocket) {
+  LocalRig rig(4);
   OtaClientOptions options;
   options.max_chunk = 512;  // force many DELTA_DATA frames
-  OtaClient client(
-      [&] {
-        sessions.emplace_back();
-        return rig.connect(sessions.back());
-      },
-      options);
+  OtaClient client([&] { return rig.connect(); }, options);
   Bytes image = rig.history[0];
   const OtaReport report = client.update_streaming(image, 0, 3);
-  for (std::thread& t : sessions) t.join();
   EXPECT_TRUE(test::bytes_equal(rig.history[3], image));
   EXPECT_EQ(report.final_release, 3u);
   EXPECT_GE(report.hops, 1u);
@@ -300,9 +286,8 @@ TEST(Session, StreamingClientUpgradesOverLoopback) {
 }
 
 TEST(Session, BadReleaseIdsGetTypedErrorsAndSessionSurvives) {
-  LoopbackRig rig(3);
-  std::thread session;
-  auto transport = rig.connect(session);
+  LocalRig rig(3);
+  auto transport = rig.connect();
   FramedConnection conn(*transport);
   conn.send(HelloMsg{});
   ASSERT_TRUE(std::holds_alternative<HelloAckMsg>(*conn.receive()));
@@ -316,17 +301,15 @@ TEST(Session, BadReleaseIdsGetTypedErrorsAndSessionSurvives) {
   conn.send(GetDeltaMsg{0, 1});
   EXPECT_TRUE(std::holds_alternative<DeltaBeginMsg>(*conn.receive()));
   transport->close();
-  session.join();
   EXPECT_EQ(rig.service->metrics().net_errors.load(), 2u);
 }
 
 TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
-  LoopbackRig rig(2);
+  LocalRig rig(2);
   ServiceMetrics& metrics = rig.service->metrics();
 
   // First session: take DELTA_BEGIN plus one chunk, then vanish.
-  std::thread first_session;
-  auto first = rig.connect(first_session);
+  auto first = rig.connect();
   DeltaBeginMsg meta;
   std::uint64_t got = 0;
   {
@@ -340,11 +323,9 @@ TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
     ASSERT_LT(got, meta.total_size);  // multi-chunk transfer
   }
   first->close();
-  first_session.join();
 
   // Second session: resume from where we died.
-  std::thread second_session;
-  auto second = rig.connect(second_session);
+  auto second = rig.connect();
   {
     FramedConnection conn(*second);
     conn.send(HelloMsg{kProtocolVersion, 256});
@@ -368,12 +349,10 @@ TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
     EXPECT_EQ(received, meta.total_size);
   }
   second->close();
-  second_session.join();
   EXPECT_EQ(metrics.net_resumes.load(), 1u);
 
   // A resume whose CRC matches nothing is refused.
-  std::thread third_session;
-  auto third = rig.connect(third_session);
+  auto third = rig.connect();
   {
     FramedConnection conn(*third);
     conn.send(HelloMsg{});
@@ -383,14 +362,13 @@ TEST(Session, ResumeSkipsAlreadyTransferredBytes) {
     EXPECT_EQ(err.code, ErrorCode::kBadResume);
   }
   third->close();
-  third_session.join();
 }
 
 TEST(Session, FullImageOverrunIsRejectedBeforeTheCopy) {
   // A hostile (or broken) server that streams more bytes than its
   // DELTA_BEGIN announced must hit a typed protocol error, never the
   // raw memcpy past the image buffer it would have caused.
-  auto [client_end, server_end] = make_loopback_pair();
+  auto [client_end, server_end] = test::socket_pair();
   std::thread evil([server = std::move(server_end)]() mutable {
     try {
       FramedConnection conn(*server);
@@ -431,17 +409,11 @@ TEST(Session, FullImageOverrunIsRejectedBeforeTheCopy) {
 }
 
 TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
-  LoopbackRig rig(2);
-  std::vector<std::thread> sessions;
+  LocalRig rig(2);
   OtaClientOptions options;
   options.backoff_initial_ms = 0;
   options.backoff_max_ms = 0;
-  OtaClient client(
-      [&] {
-        sessions.emplace_back();
-        return rig.connect(sessions.back());
-      },
-      options);
+  OtaClient client([&] { return rig.connect(); }, options);
 
   constexpr std::size_t kImageArea = 64 << 10;
   constexpr JournalRegion kJournal{kImageArea, 16 << 10};
@@ -463,7 +435,6 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
 
   const OtaReport report =
       client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
-  for (std::thread& t : sessions) t.join();
   EXPECT_EQ(report.final_release, 1u);
   EXPECT_EQ(report.resumes, 1u);  // the refused attempt
   EXPECT_GE(report.retries, 1u);  // ... counted as an attempt
@@ -473,33 +444,28 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
 }
 
 TEST(Session, MetricsRequestReturnsTheSnapshot) {
-  LoopbackRig rig(2);
-  std::vector<std::thread> sessions;
-  OtaClient client([&] {
-    sessions.emplace_back();
-    return rig.connect(sessions.back());
-  });
+  LocalRig rig(2);
+  OtaClient client([&] { return rig.connect(); });
   const std::string text = client.fetch_metrics();
-  for (std::thread& t : sessions) t.join();
   EXPECT_NE(text.find("net_sessions:"), std::string::npos);
   EXPECT_NE(text.find("bytes cached:"), std::string::npos);
 }
 
 TEST(Session, StreamingClientSurvivesInjectedFaults) {
-  LoopbackRig rig(4);
+  LocalRig rig(4);
   FaultStats stats;
-  std::vector<std::thread> sessions;
+  std::size_t connections = 0;
   OtaClientOptions options;
   options.max_chunk = 1024;
   options.max_attempts = 64;
-  options.backoff_initial_ms = 0;  // loopback: no need to actually sleep
+  options.backoff_initial_ms = 0;  // local socket: no need to actually sleep
   options.backoff_max_ms = 0;
   OtaClient client(
       [&]() -> std::unique_ptr<Transport> {
-        sessions.emplace_back();
+        ++connections;
         FaultOptions faults;
-        faults.seed = 0xFA017 + sessions.size();  // new faults per attempt
-        if (sessions.size() <= 2) {
+        faults.seed = 0xFA017 + connections;  // new faults per attempt
+        if (connections <= 2) {
           // The first two connections die mid-transfer at a fixed byte
           // count — a deterministic guarantee that recovery is exercised.
           faults.kill_after_bytes = 700;
@@ -509,13 +475,12 @@ TEST(Session, StreamingClientSurvivesInjectedFaults) {
           faults.flip_rate = 0.05;
           faults.grace_ops = 4;
         }
-        return std::make_unique<FaultyTransport>(
-            rig.connect(sessions.back()), faults, &stats);
+        return std::make_unique<FaultyTransport>(rig.connect(), faults,
+                                                 &stats);
       },
       options, &rig.service->metrics());
   Bytes image = rig.history[0];
   const OtaReport report = client.update_streaming(image, 0, 3);
-  for (std::thread& t : sessions) t.join();
   EXPECT_TRUE(test::bytes_equal(rig.history[3], image));
   EXPECT_GT(stats.total(), 0u) << "fault injection never fired";
   EXPECT_GE(report.retries, 2u);  // the two deterministic kills
@@ -540,7 +505,7 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
   file.script.push(CopyCommand{0, half, half});  // ...this one reads
   const Bytes evil = serialize_delta(file);
 
-  auto [client_end, server_end] = make_loopback_pair();
+  auto [client_end, server_end] = test::socket_pair();
   std::thread hostile([server = std::move(server_end),
                        evil = evil]() mutable {
     try {
@@ -601,7 +566,7 @@ TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {
   // operator preloads a conflicting artifact whose header matches the
   // hop endpoints exactly. The service must refuse to cache it, and the
   // next wire client must get a freshly built, safe delta.
-  LoopbackRig rig(2);
+  LocalRig rig(2);
   DeltaFile file;
   file.format = kVarintExplicit;
   file.in_place = true;
@@ -615,14 +580,9 @@ TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {
   EXPECT_FALSE(rig.service->preload(0, 1, serialize_delta(file)));
   EXPECT_EQ(rig.service->metrics().verify_rejects.load(), 1u);
 
-  std::vector<std::thread> sessions;
-  OtaClient client([&] {
-    sessions.emplace_back();
-    return rig.connect(sessions.back());
-  });
+  OtaClient client([&] { return rig.connect(); });
   Bytes image = rig.history[0];
   const OtaReport report = client.update_streaming(image, 0, 1);
-  for (std::thread& t : sessions) t.join();
   EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
   EXPECT_EQ(report.final_release, 1u);
   // Still exactly one rejection: the refused preload, not the build.

@@ -6,8 +6,9 @@
 // bytes reconstructed directly.
 //
 // Environments without localhost sockets (heavily sandboxed CI) make
-// TcpListener::bind throw; these tests GTEST_SKIP in that case rather
-// than fail.
+// DeltaServer::start's bind throw; the TCP tests GTEST_SKIP in that case
+// rather than fail. The old-server fake runs over a socket pair and
+// always runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
+#include "socket_pair.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -588,56 +590,50 @@ TEST(NetE2E, V1SessionInteroperatesWithNoTraceExtension) {
 
 TEST(NetE2E, NewClientDowngradesStickilyAgainstAnOldServer) {
   // A pre-trace server: rejects any HELLO version it does not know with
-  // ERROR{kProtocol} (exactly what the old serve_session did), acks v1,
-  // and answers METRICS_REQ. The new client must downgrade, reconnect
+  // ERROR{kProtocol} (exactly what a v1-only server does), acks v1, and
+  // answers METRICS_REQ. The new client must downgrade, reconnect
   // speaking v1 — and remember the downgrade on later connections.
-  std::unique_ptr<TcpListener> listener;
-  try {
-    listener = std::make_unique<TcpListener>(0);
-  } catch (const TransportError&) {
-    GTEST_SKIP() << "localhost sockets unavailable here";
-  }
   std::atomic<int> hellos_seen{0};
   std::atomic<int> rejected{0};
-  std::thread old_server([&] {
-    while (std::unique_ptr<TcpTransport> t = listener->accept()) {
-      try {
-        FramedConnection conn(*t);
-        const std::optional<Message> msg = conn.receive();
-        const auto* hello = msg ? std::get_if<HelloMsg>(&*msg) : nullptr;
-        if (hello == nullptr) continue;
-        hellos_seen.fetch_add(1);
-        if (hello->protocol_version != kProtocolVersion) {
-          rejected.fetch_add(1);
-          conn.send(ErrorMsg{ErrorCode::kProtocol,
-                             "unsupported protocol version"});
-          continue;
-        }
-        HelloAckMsg ack;
-        ack.protocol_version = kProtocolVersion;
-        ack.release_count = 2;
-        ack.latest = 1;
-        ack.chunk = 4096;
-        conn.send(ack);
-        const std::optional<Message> req = conn.receive();
-        if (req && std::holds_alternative<MetricsReqMsg>(*req)) {
-          conn.send(MetricsMsg{"net_sessions:         1\n"});
-        }
-      } catch (const Error&) {
-        // a half-closed connection is the client's business
+  const auto old_session = [&](std::unique_ptr<TcpTransport> t) {
+    try {
+      FramedConnection conn(*t);
+      const std::optional<Message> msg = conn.receive();
+      const auto* hello = msg ? std::get_if<HelloMsg>(&*msg) : nullptr;
+      if (hello == nullptr) return;
+      hellos_seen.fetch_add(1);
+      if (hello->protocol_version != kProtocolVersion) {
+        rejected.fetch_add(1);
+        conn.send(ErrorMsg{ErrorCode::kProtocol,
+                           "unsupported protocol version"});
+        return;
       }
+      HelloAckMsg ack;
+      ack.protocol_version = kProtocolVersion;
+      ack.release_count = 2;
+      ack.latest = 1;
+      ack.chunk = 4096;
+      conn.send(ack);
+      const std::optional<Message> req = conn.receive();
+      if (req && std::holds_alternative<MetricsReqMsg>(*req)) {
+        conn.send(MetricsMsg{"net_sessions:         1\n"});
+      }
+    } catch (const Error&) {
+      // a half-closed connection is the client's business
     }
-  });
+  };
 
-  OtaClient client([port = listener->port()] {
-    return TcpTransport::connect("127.0.0.1", port);
+  std::vector<std::thread> sessions;
+  OtaClient client([&]() -> std::unique_ptr<Transport> {
+    auto [client_end, server_end] = test::socket_pair();
+    sessions.emplace_back(old_session, std::move(server_end));
+    return std::move(client_end);
   });
   // First call: v2 offer refused, downgrade, v1 succeeds (2 connects).
   EXPECT_NE(client.fetch_metrics().find("net_sessions"), std::string::npos);
   // Second call: the downgrade stuck, so v1 straight away (1 connect).
   EXPECT_NE(client.fetch_metrics().find("net_sessions"), std::string::npos);
-  listener->close();
-  old_server.join();
+  for (std::thread& t : sessions) t.join();
   EXPECT_EQ(rejected.load(), 1);
   EXPECT_EQ(hellos_seen.load(), 3);
 }

@@ -5,24 +5,33 @@
 // typed ERROR{kShed} instead of a silent stall, and a client hanging up
 // mid-transfer while megabytes are still queued behind a writev.
 //
+// The same loop serves DeltaServer::connect_local socket pairs; the
+// tests on those (admission, flight-recorder evidence, the message fuzz
+// corpus) bind no TCP port and always run.
+//
 // Every raw connection here sets a read timeout, so a regression that
 // stalls a reply fails the test with a TransportError instead of
-// hanging ctest. Environments without localhost sockets GTEST_SKIP.
+// hanging ctest. TCP tests GTEST_SKIP where localhost sockets are
+// unavailable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <optional>
 #include <thread>
 
 #include "apply/inplace_apply.hpp"
 #include "core/checksum.hpp"
+#include "core/io.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "net/delta_server.hpp"
 #include "net/ota_client.hpp"
 #include "net/tcp_transport.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
+#include "obs/trace_context.hpp"
 #include "test_util.hpp"
 
 namespace ipd {
@@ -67,6 +76,45 @@ struct ReactorRig {
   if ((rig).skipped) {                                    \
     GTEST_SKIP() << "localhost sockets unavailable here"; \
   }
+
+/// A server reached only through connect_local(): never start()ed, so
+/// no TCP port is bound.
+struct LocalRig {
+  VersionStore store;
+  std::unique_ptr<DeltaService> service;
+  std::unique_ptr<DeltaServer> server;
+  std::vector<Bytes> history;
+
+  explicit LocalRig(std::vector<Bytes> releases, const ServerConfig& net = {}) {
+    history = std::move(releases);
+    for (const Bytes& body : history) store.publish(body);
+    service = std::make_unique<DeltaService>(store, ServiceOptions{});
+    server = std::make_unique<DeltaServer>(*service, net);
+  }
+
+  std::unique_ptr<Transport> connect(int read_timeout_ms = 20'000) {
+    auto t = server->connect_local();
+    t->set_read_timeout(read_timeout_ms);
+    return t;
+  }
+};
+
+std::vector<Bytes> small_history() {
+  Rng rng(93);
+  const Bytes reference = generate_file(rng, 16 << 10, FileProfile::kBinary);
+  MutationModel model;
+  model.length_scale = 48;
+  return {reference, mutate(reference, rng, 25, model)};
+}
+
+/// The newest flight dump with `reason`, or nullopt.
+std::optional<obs::FlightDump> dump_for(const std::string& reason) {
+  const std::vector<obs::FlightDump> dumps = obs::flight_dumps();
+  for (auto it = dumps.rbegin(); it != dumps.rend(); ++it) {
+    if (it->reason == reason) return *it;
+  }
+  return std::nullopt;
+}
 
 /// v0 plus a v1 that appends a megabyte of incompressible noise: the
 /// served artifact dwarfs both the per-connection queue bound and the
@@ -312,6 +360,170 @@ TEST(Reactor, ClientDisconnectMidTransferIsDroppedAndServingContinues) {
   // the same update bit-identically (from cache — no rebuild needed).
   Bytes image = rig.history[0];
   OtaClient client(rig.factory());
+  EXPECT_EQ(client.update_streaming(image, 0, 1).final_release, 1u);
+  EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
+}
+
+// ---- connect_local: the same loop without a TCP port -----------------
+
+TEST(Reactor, LocalConnectionsGoThroughAdmissionLikeAcceptedOnes) {
+  ServerConfig net;
+  net.max_connections = 1;
+  LocalRig rig(small_history(), net);
+
+  // Occupy the only slot.
+  auto holder = rig.connect();
+  FramedConnection held(*holder);
+  hello(held);
+  EXPECT_EQ(rig.server->active_sessions(), 1u);
+  EXPECT_EQ(rig.service->metrics().net_sessions.load(), 1u);
+
+  // An adopted connection over the limit is shed exactly like an
+  // accepted one: a typed ERROR{kShed}, then the hang-up.
+  {
+    auto second = rig.connect();
+    FramedConnection conn(*second);
+    const std::optional<Message> reply = conn.receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(std::get<ErrorMsg>(*reply).code, ErrorCode::kShed);
+  }
+  EXPECT_EQ(rig.service->metrics().net_rejected.load(), 1u);
+
+  // Free the slot; the loop notices the hang-up and admits again.
+  holder->close();
+  std::string text;
+  for (int i = 0; i < 100 && text.empty(); ++i) {
+    try {
+      OtaClient client([&] { return rig.server->connect_local(); });
+      text = client.fetch_metrics();
+    } catch (const Error&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_NE(text.find("net_sessions:"), std::string::npos);
+}
+
+TEST(Reactor, StartAndConnectLocalWorkInEitherOrder) {
+  LocalRig rig(small_history());
+  // connect_local() first: it starts the loop without binding a port.
+  auto early = rig.connect();
+  FramedConnection early_conn(*early);
+  hello(early_conn);
+  EXPECT_THROW(rig.server->port(), Error);
+  try {
+    rig.server->start();
+  } catch (const TransportError&) {
+    GTEST_SKIP() << "localhost sockets unavailable here";
+  }
+  // start() joined the running loop: the early session is still served,
+  // and TCP clients share the loop with it.
+  early_conn.send(GetDeltaMsg{0, 1});
+  const std::optional<Message> begin = early_conn.receive();
+  ASSERT_TRUE(begin && std::holds_alternative<DeltaBeginMsg>(*begin));
+  Bytes image = rig.history[0];
+  OtaClient client([port = rig.server->port()] {
+    return TcpTransport::connect("127.0.0.1", port);
+  });
+  EXPECT_EQ(client.update_streaming(image, 0, 1).final_release, 1u);
+  EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
+}
+
+TEST(Reactor, CorruptInputAndRefusedResumesLeaveFlightDumps) {
+  LocalRig rig(small_history());
+  obs::clear_flight_dumps();
+  const obs::TraceContext ctx = obs::mint_trace();
+
+  // Opens a traced session: the recorder is keyed by this trace.
+  const auto traced_session = [&](FramedConnection& conn) {
+    conn.set_outbound_trace(ctx);
+    conn.send(HelloMsg{kProtocolVersionTraced, 4096});
+    const std::optional<Message> ack = conn.receive();
+    ASSERT_TRUE(ack && std::holds_alternative<HelloAckMsg>(*ack));
+  };
+  const auto expect_hang_up = [](Transport& t) {
+    Bytes buf(64);
+    EXPECT_EQ(t.read_some(buf), 0u) << "server kept a corrupt stream open";
+  };
+
+  // A flipped payload byte in a client frame: the frame CRC catches it
+  // and the reactor hangs up, leaving evidence behind first.
+  {
+    auto t = rig.connect();
+    FramedConnection conn(*t);
+    traced_session(conn);
+    Bytes wire = encode_message(GetDeltaMsg{0, 1}, &ctx);
+    wire[wire.size() - 6] ^= 0x08;  // inside the payload, before the CRC
+    t->write_all(wire);
+    expect_hang_up(*t);
+  }
+  const std::optional<obs::FlightDump> corrupt =
+      dump_for("corrupt inbound frame");
+  ASSERT_TRUE(corrupt.has_value()) << "corrupt frame left no flight record";
+  EXPECT_EQ(corrupt->label, "server:local");
+  EXPECT_EQ(corrupt->trace_id, ctx.trace_id_hex());
+  EXPECT_NE(corrupt->text.find("CRC"), std::string::npos) << corrupt->text;
+
+  // A sound frame whose payload is not a message.
+  {
+    auto t = rig.connect();
+    FramedConnection conn(*t);
+    traced_session(conn);
+    t->write_all(encode_frame(FrameType::kGetDelta, Bytes(3, 0x01), &ctx));
+    expect_hang_up(*t);
+  }
+  const std::optional<obs::FlightDump> undecodable =
+      dump_for("undecodable inbound message");
+  ASSERT_TRUE(undecodable.has_value());
+  EXPECT_EQ(undecodable->trace_id, ctx.trace_id_hex());
+
+  // A RESUME naming an artifact CRC the server never built: refused
+  // with kBadResume, the session stays up, and the refusal is on record.
+  {
+    auto t = rig.connect();
+    FramedConnection conn(*t);
+    traced_session(conn);
+    conn.send(ResumeMsg{0, 1, 1, 0xBAD0BAD0});
+    const auto err = std::get<ErrorMsg>(*conn.receive());
+    EXPECT_EQ(err.code, ErrorCode::kBadResume);
+    conn.send(GetDeltaMsg{0, 1});
+    const std::optional<Message> begin = conn.receive();
+    EXPECT_TRUE(begin && std::holds_alternative<DeltaBeginMsg>(*begin));
+  }
+  const std::optional<obs::FlightDump> refused =
+      dump_for("resume refused: artifact changed");
+  ASSERT_TRUE(refused.has_value()) << "refused resume left no flight record";
+  EXPECT_EQ(refused->label, "server:local");
+  EXPECT_EQ(refused->trace_id, ctx.trace_id_hex());
+  EXPECT_NE(refused->text.find("artifact changed"), std::string::npos)
+      << refused->text;
+  obs::clear_flight_dumps();
+}
+
+TEST(Reactor, MessageFuzzCorpusLeavesTheLoopServing) {
+  LocalRig rig(small_history());
+  std::vector<std::filesystem::path> inputs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IPDELTA_MESSAGE_CORPUS_DIR)) {
+    inputs.push_back(entry.path());
+  }
+  std::sort(inputs.begin(), inputs.end());
+  ASSERT_FALSE(inputs.empty());
+  // Every corpus input goes to the reactor as one connection's bytes;
+  // whatever it answers is drained until it hangs up or goes quiet.
+  for (const std::filesystem::path& path : inputs) {
+    auto t = rig.connect(/*read_timeout_ms=*/100);
+    try {
+      t->write_all(read_file(path));
+      Bytes buf(16 << 10);
+      while (t->read_some(buf) > 0) {
+      }
+    } catch (const TransportError&) {
+      // quiet (waiting for more bytes) or already hung up: both fine
+    }
+  }
+  // The loop survived all of it: a fresh connection still upgrades.
+  Bytes image = rig.history[0];
+  OtaClient client([&] { return rig.server->connect_local(); });
   EXPECT_EQ(client.update_streaming(image, 0, 1).final_release, 1u);
   EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
 }

@@ -6,13 +6,19 @@
 // with bench::repetition_seed so every repetition samples a different
 // point in the publish pipeline (during differencing, mid segment
 // append, between segment sync and manifest append, ...), while any
-// failing run stays reproducible from its printed seed.
+// failing run stays reproducible from its printed seed. The delay
+// window is scaled to publish times measured on this build and host
+// (the child reports each durable publish through a pipe), so a slow
+// sanitized build is killed as deep into its publishes as a fast one.
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <filesystem>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <csignal>
+#include <filesystem>
 
 #include "bench_util.hpp"
 #include "core/checksum.hpp"
@@ -45,6 +51,23 @@ std::vector<Bytes> shared_history(std::uint64_t seed, std::size_t n) {
 
 constexpr std::uint64_t kBaseSeed = 0x5705;
 constexpr std::size_t kHistorySize = 24;
+/// Publishes the calibration run times.
+constexpr std::size_t kCalibrationPublishes = 4;
+
+std::uint64_t now_us() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Measured publisher timing: from fork to the first durable publish
+/// (process start, store open and recovery included), and per publish
+/// after that.
+struct PublishTiming {
+  std::uint64_t first_us = 0;
+  std::uint64_t each_us = 0;
+};
 
 class StoreRecoveryTest : public ::testing::Test {
  protected:
@@ -56,33 +79,94 @@ class StoreRecoveryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Fork a publisher that appends the remaining history to the store,
-  /// kill it after `delay_us`, and reap it. Returns false if the child
-  /// finished the whole history before the kill landed.
-  bool run_and_kill(std::uint64_t delay_us) {
+  /// Fork a publisher that appends the remaining history (at most
+  /// `limit` releases) to the store at `dir`, writing one byte to a pipe
+  /// after each durable publish. The parent collects the reports' times
+  /// (microseconds since the fork) into `reports`; when `delay_us` is
+  /// nonzero it SIGKILLs the child that long after the fork. Returns
+  /// true if the kill landed, false if the child exited first.
+  bool run_publisher(const std::filesystem::path& dir, std::size_t limit,
+                     std::uint64_t delay_us,
+                     std::vector<std::uint64_t>* reports = nullptr) {
+    int fds[2];
+    if (::pipe(fds) != 0) {
+      ADD_FAILURE() << "pipe failed";
+      return false;
+    }
+    const std::uint64_t start = now_us();
     const pid_t pid = ::fork();
     if (pid == 0) {
       // Child: publish everything the store does not yet have. Chains
       // are kept short so folds (the most write-heavy publish path) are
       // exercised by the kill matrix too.
+      ::close(fds[0]);
       try {
         StoreOptions options;
         options.chain.max_chain_length = 4;
-        ArtifactStore store(dir_, options);
-        for (std::size_t i = store.release_count(); i < history_.size();
-             ++i) {
+        ArtifactStore store(dir, options);
+        const std::size_t end =
+            std::min(history_.size(), store.release_count() + limit);
+        for (std::size_t i = store.release_count(); i < end; ++i) {
           store.publish(history_[i]);
+          const char published = 'p';
+          if (::write(fds[1], &published, 1) != 1) ::_exit(8);
         }
       } catch (...) {
         ::_exit(9);  // a recovered store must always accept publishes
       }
       ::_exit(0);
     }
-    ::usleep(static_cast<useconds_t>(delay_us));
-    ::kill(pid, SIGKILL);
+    ::close(fds[1]);
+    // Wait for publish reports until the kill time (or the child's exit
+    // closes the pipe), timestamping each as it arrives.
+    const std::uint64_t deadline = start + delay_us;
+    bool open = true;
+    while (open) {
+      int wait_ms = -1;
+      if (delay_us != 0) {
+        const std::uint64_t now = now_us();
+        if (now >= deadline) break;
+        wait_ms = static_cast<int>((deadline - now + 999) / 1000);
+      }
+      pollfd pfd{fds[0], POLLIN, 0};
+      if (::poll(&pfd, 1, wait_ms) <= 0) continue;
+      char buf[64];
+      const ssize_t n = ::read(fds[0], buf, sizeof buf);
+      open = n > 0;
+      for (ssize_t i = 0; reports != nullptr && i < n; ++i) {
+        reports->push_back(now_us() - start);
+      }
+    }
+    if (delay_us != 0) ::kill(pid, SIGKILL);
+    ::close(fds[0]);
     int status = 0;
     ::waitpid(pid, &status, 0);
     return WIFSIGNALED(status);  // false: exited before the kill
+  }
+
+  /// Time kCalibrationPublishes publishes into a scratch store the
+  /// matrix never audits.
+  PublishTiming calibrate() {
+    const std::filesystem::path scratch = dir_.string() + "_calibrate";
+    std::filesystem::remove_all(scratch);
+    ArtifactStore::init(scratch);
+    std::vector<std::uint64_t> reports;
+    run_publisher(scratch, kCalibrationPublishes, 0, &reports);
+    std::filesystem::remove_all(scratch);
+    PublishTiming t;
+    if (reports.size() < 2) {
+      ADD_FAILURE() << "calibration publisher reported " << reports.size()
+                    << " publishes";
+      return t;
+    }
+    t.first_us = reports.front();
+    t.each_us = (reports.back() - reports.front()) / (reports.size() - 1);
+    return t;
+  }
+
+  /// Kill the matrix publisher `delay_us` after its fork.
+  bool run_and_kill(std::uint64_t delay_us) {
+    return run_publisher(dir_, history_.size(), delay_us);
   }
 
   /// Reopen with deep verification; every recovered release must match
@@ -105,16 +189,24 @@ class StoreRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(StoreRecoveryTest, KillNineMatrix) {
+  const PublishTiming timing = calibrate();
+  SCOPED_TRACE("publish timing: first after " +
+               std::to_string(timing.first_us) + "us, then " +
+               std::to_string(timing.each_us) + "us each");
+  // From "still differencing the first release" (half the time to the
+  // first durable publish) to "several publishes deep" (eight more).
+  const std::uint64_t window_lo = timing.first_us / 2;
+  const std::uint64_t window_len =
+      timing.first_us / 2 + 8 * std::max<std::uint64_t>(timing.each_us, 1);
   ArtifactStore::init(dir_);
   std::size_t recovered = 0;
   std::size_t kills = 0;
   for (std::uint64_t rep = 0; rep < 12 && recovered < history_.size();
        ++rep) {
-    // 0.5ms .. ~8.7ms: from "still differencing" to "several publishes
-    // deep". Seeded, not hardcoded, so the matrix drifts across the
-    // pipeline as the store grows between reps.
+    // Seeded, not hardcoded, so the matrix drifts across the pipeline
+    // as the store grows between reps.
     const std::uint64_t seed = bench::repetition_seed(kBaseSeed, rep);
-    const std::uint64_t delay_us = 500 + seed % 8192;
+    const std::uint64_t delay_us = window_lo + seed % window_len;
     if (run_and_kill(delay_us)) ++kills;
 
     const std::size_t now =
