@@ -14,7 +14,7 @@
 #include "delta/optimize.hpp"
 #include "delta/suffix_differ.hpp"
 #include "delta/stats.hpp"
-#include "device/resumable_updater.hpp"
+#include "device/stream_updater.hpp"
 #include "inplace/converter.hpp"
 #include "ipdelta.hpp"
 
@@ -276,22 +276,22 @@ void ablation_journal() {
 
   FlashDevice jdev(image_area + journal.size, 512, 1 << 20);
   jdev.load_image(v1);
-  clear_journal(jdev, journal);
+  StreamingDeviceUpdater::clear(jdev, journal);
   jdev.reset_stats();
-  const ResumableUpdateResult journaled =
-      apply_update_resumable(jdev, delta, channel_28k(), journal);
+  const StagedApplyResult journaled =
+      apply_staged(jdev, journal, delta, StreamArtifactInfo{});
 
   std::printf(
       "  plain updater:     %10llu B written, %6llu page touches\n"
       "  journaled updater: %10llu B written, %6llu page touches "
-      "(%zu records)\n"
+      "(%llu records)\n"
       "  write overhead: %.2fx\n",
       static_cast<unsigned long long>(plain.storage_bytes_written),
       static_cast<unsigned long long>(plain.storage_pages_written),
-      static_cast<unsigned long long>(journaled.update.storage_bytes_written),
-      static_cast<unsigned long long>(journaled.update.storage_pages_written),
-      journaled.journal_records,
-      static_cast<double>(journaled.update.storage_bytes_written) /
+      static_cast<unsigned long long>(jdev.bytes_written()),
+      static_cast<unsigned long long>(jdev.pages_touched_write()),
+      static_cast<unsigned long long>(journaled.journal_records),
+      static_cast<double>(jdev.bytes_written()) /
           static_cast<double>(plain.storage_bytes_written));
   rule();
 }

@@ -2,17 +2,18 @@
 //
 // 1. Streaming: the device applies the delta while it downloads, so it
 //    never stages the whole delta in RAM.
-// 2. Power loss: the journaled updater is interrupted at random points
-//    (simulated write tearing) and resumes until the update lands, with
-//    the flash verified byte-perfect afterwards.
+// 2. Power loss: the journaled engine, fed from a staged RAM buffer, is
+//    interrupted at random points (simulated write tearing) and resumes
+//    until the update lands, with the flash verified byte-perfect
+//    afterwards.
 //
-// Run:  ./examples/resilient_ota
+// Run:  ./examples/resilient_ota   (exits non-zero on a mismatch)
 #include <cstdio>
 
 #include "apply/stream_applier.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
-#include "device/resumable_updater.hpp"
+#include "device/stream_updater.hpp"
 #include "ipdelta.hpp"
 
 int main() {
@@ -30,6 +31,7 @@ int main() {
               v2.size(), delta.size());
 
   // --- part 1: streaming application ------------------------------------
+  bool streamed = false;
   {
     Bytes image = v1;
     image.resize(std::max(v1.size(), v2.size()));
@@ -40,14 +42,13 @@ int main() {
           pos, std::min<std::size_t>(1400, delta.size() - pos)));
       ++chunks;
     }
+    streamed = applier.finished() &&
+               std::equal(v2.begin(), v2.end(), image.begin());
     std::printf(
         "\nstreaming: %zu network chunks, %zu commands applied on the fly,\n"
         "  parser RAM high-water %zu B (vs %zu B to stage the delta); %s\n",
         chunks, applier.commands_applied(), applier.peak_buffered(),
-        delta.size(),
-        applier.finished() && std::equal(v2.begin(), v2.end(), image.begin())
-            ? "image verified"
-            : "FAILED");
+        delta.size(), streamed ? "image verified" : "FAILED");
   }
 
   // --- part 2: power-failure storm --------------------------------------
@@ -57,16 +58,16 @@ int main() {
     FlashDevice device(image_area + journal.size, 4096,
                        delta.size() + (32 << 10));
     device.load_image(v1);
-    clear_journal(device, journal);
+    StreamingDeviceUpdater::clear(device, journal);
 
     Rng chaos(0xDEAD);
     int failures = 0;
-    ResumableUpdateResult result;
+    StagedApplyResult result;
     for (;;) {
       // Pull the plug after a random 4-40 KiB of flash writes.
       device.inject_power_failure_after(chaos.range(4 << 10, 40 << 10));
       try {
-        result = apply_update_resumable(device, delta, channel_28k(), journal);
+        result = apply_staged(device, journal, delta, StreamArtifactInfo{});
         break;
       } catch (const FlashDevice::PowerFailure&) {
         ++failures;
@@ -79,11 +80,12 @@ int main() {
     const bool ok =
         std::equal(v2.begin(), v2.end(), device.inspect().begin());
     std::printf(
-        "\njournaled update survived %d power failures; resumed from step "
-        "%zu on the final run;\n  %zu journal records, CRC %s, flash %s\n",
-        failures, result.steps_replayed, result.journal_records,
-        result.update.crc_verified ? "verified" : "NOT verified",
+        "\njournaled update survived %d power failures; resumed at artifact "
+        "byte %llu on the final run;\n  %llu journal records, CRC verified, "
+        "flash %s\n",
+        failures, static_cast<unsigned long long>(result.resumed_at),
+        static_cast<unsigned long long>(result.journal_records),
         ok ? "matches v2" : "DOES NOT match v2");
-    return ok ? 0 : 1;
+    return ok && streamed ? 0 : 1;
   }
 }

@@ -23,8 +23,8 @@
 // The journal is storage-agnostic: it talks to a JournalStorage (a spare
 // flash region, a file, a test vector) and never allocates — callers
 // provide a scratch buffer of slot_bytes() so device RAM accounting stays
-// honest. Consumers: device/resumable_updater (staged apply) and
-// device/stream_updater (streaming apply + campaign devices).
+// honest. Consumer: device/stream_updater, the journaled device engine
+// for streaming and staged devices alike.
 #pragma once
 
 #include <cstdint>

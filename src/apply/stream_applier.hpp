@@ -7,8 +7,8 @@
 // its bytes arrive; peak RAM becomes one command (bounded by the largest
 // add) plus parser state. The trade: the payload checksum can only be
 // verified after the image has already been modified, so a delta torn in
-// transit leaves a half-updated image — pair with the journaled updater
-// (device/resumable_updater.hpp) when that matters.
+// transit leaves a half-updated image — use the journaled device engine
+// (device/stream_updater.hpp) when that matters.
 //
 // In-place safety of the *order* is unchanged: the delta must carry the
 // in_place flag, and per-command conflict checking is available.

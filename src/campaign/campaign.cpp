@@ -8,13 +8,10 @@
 #include <thread>
 #include <vector>
 
-#include "apply/apply_journal.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "core/rng.hpp"
-#include "device/flash_journal.hpp"
-#include "device/resumable_updater.hpp"
-#include "device/updater.hpp"
+#include "device/stream_updater.hpp"
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
 
@@ -71,24 +68,6 @@ bool holds_some_release(const FlashDevice& device,
   return false;
 }
 
-/// Is there any valid apply-journal record to resume from? The staged
-/// path journals with header_capacity = 0 and the streaming path with
-/// its own capacities; scan with whichever layout this device used.
-bool has_resumable_record(FlashDevice& device, const JournalRegion& journal,
-                          const ApplyJournalOptions& jopts) {
-  try {
-    const std::size_t slot = ApplyJournal::slot_bytes(jopts);
-    if (journal.size < 2 * slot) return false;
-    Bytes scratch(slot, 0);
-    FlashJournalStorage storage(device,
-                                JournalRegion{journal.offset, 2 * slot});
-    const ApplyJournal aj(storage, MutByteView(scratch), jopts);
-    return aj.newest().has_value();
-  } catch (const Error&) {
-    return false;
-  }
-}
-
 /// Run one device to completion (or exhaustion). Returns true when the
 /// device ends on the target release.
 bool run_device(FleetState& fleet, std::size_t index) {
@@ -107,7 +86,7 @@ bool run_device(FleetState& fleet, std::size_t index) {
                      fleet.image_area + (64u << 10));
   device.load_image(fleet.history[start]);
   const JournalRegion journal{fleet.image_area, o.journal_bytes};
-  clear_journal(device, journal);
+  StreamingDeviceUpdater::clear(device, journal, o.apply);
   if (staged) fleet.staged_devices.fetch_add(1, std::memory_order_relaxed);
 
   // Uniform flash-write offset for a cut: an update writes roughly the
@@ -151,7 +130,7 @@ bool run_device(FleetState& fleet, std::size_t index) {
       // forward rule in OtaClient).
       const OtaReport r =
           staged ? client.update_device(device, journal, start, fleet.target,
-                                        channel_28k(), &transfer)
+                                        o.apply, &transfer)
                  : client.update_device_streaming(device, journal, start,
                                                   fleet.target, o.apply);
       fleet.retries.fetch_add(r.retries, std::memory_order_relaxed);
@@ -195,13 +174,9 @@ bool run_device(FleetState& fleet, std::size_t index) {
   fleet.failed.fetch_add(1, std::memory_order_relaxed);
   // Brick check: a failed device is fine as long as it still holds SOME
   // release, or its journal can finish the interrupted apply next boot.
-  ApplyJournalOptions jopts;
-  jopts.page_size = device.page_size();
-  jopts.undo_capacity = staged ? UpdaterOptions{}.window_bytes
-                               : fleet.options.apply.window_bytes;
-  jopts.header_capacity = staged ? 0 : fleet.options.apply.header_capacity;
+  // Staged and streaming devices share one journal layout.
   if (!holds_some_release(device, fleet.history) &&
-      !has_resumable_record(device, journal, jopts)) {
+      !StreamingDeviceUpdater::probe(device, journal, o.apply)) {
     fleet.bricked.fetch_add(1, std::memory_order_relaxed);
   }
   return false;

@@ -17,7 +17,8 @@
 //     a power cut reboots the device, which resumes from its apply
 //     journal with a byte-exact network RESUME.
 //   * staged (staged_fraction): OtaClient::update_device — download into
-//     a TransferJournal, then the journaled staged apply.
+//     a TransferJournal, verify, then feed the same journaled engine from
+//     that buffer (apply_staged), with the same journal layout.
 //
 // The rollout is staged by RolloutPolicy waves with an abort-on-failure-
 // rate gate at every wave boundary. The report's headline number is

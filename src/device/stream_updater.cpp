@@ -356,14 +356,12 @@ void StreamingDeviceUpdater::process_command(const Command& cmd,
     if (copy->from + copy->length > header_->reference_length) {
       throw ValidationError("stream updater: copy reads past reference");
     }
-    if (options_.check_conflicts) {
-      const Interval read = copy->read_interval();
-      auto it = written_.upper_bound(read.last);
-      if (it != written_.begin() && std::prev(it)->second >= read.first) {
-        throw ConflictError(
-            "stream updater: write-before-read conflict at command " +
-            std::to_string(idx));
-      }
+    const Interval read = copy->read_interval();
+    auto it = written_.upper_bound(read.last);
+    if (it != written_.begin() && std::prev(it)->second >= read.first) {
+      throw ConflictError(
+          "stream updater: write-before-read conflict at command " +
+          std::to_string(idx));
     }
     if (copy->self_overlaps()) {
       run_substeps(*copy, idx, payload_pre);
@@ -392,9 +390,7 @@ void StreamingDeviceUpdater::process_command(const Command& cmd,
     device_.write(add.to, add.data);
     ++batch_count_;
   }
-  if (options_.check_conflicts) {
-    written_[w.first] = w.last;
-  }
+  written_[w.first] = w.last;
 }
 
 void StreamingDeviceUpdater::run_substeps(const CopyCommand& copy,
@@ -513,10 +509,7 @@ void StreamingDeviceUpdater::finish_delta() {
   if (header_->payload_length > 0 && final_adler != header_->payload_adler) {
     throw FormatError("stream updater: payload checksum mismatch");
   }
-  if (options_.verify_crc) {
-    verify_image_crc(header_->version_length, header_->version_crc,
-                     "version");
-  }
+  verify_image_crc(header_->version_length, header_->version_crc, "version");
   append_record(ApplyRecordKind::kDone, next_command_index_, 0,
                 info_.artifact_size, final_adler, 0, {}, {});
   finished_ = true;
@@ -526,9 +519,7 @@ void StreamingDeviceUpdater::finish_full_image() {
   if (image_crc_state_ != info_.artifact_crc) {
     throw FormatError("stream updater: image checksum mismatch");
   }
-  if (options_.verify_crc) {
-    verify_image_crc(info_.artifact_size, info_.artifact_crc, "image");
-  }
+  verify_image_crc(info_.artifact_size, info_.artifact_crc, "image");
   append_record(ApplyRecordKind::kDone, 0, 0, info_.artifact_size,
                 image_crc_state_, 0, {}, {});
   finished_ = true;
@@ -551,6 +542,54 @@ void StreamingDeviceUpdater::verify_image_crc(std::uint64_t length,
     throw FormatError(std::string("stream updater: ") + what +
                       " CRC mismatch after reconstruction");
   }
+}
+
+StagedApplyResult apply_staged(FlashDevice& device,
+                               const JournalRegion& journal,
+                               ByteView artifact, StreamArtifactInfo hop,
+                               const StreamUpdaterOptions& options) {
+  // The device holds the artifact as received. An LZSS container is
+  // re-serialized uncompressed into a host-side buffer, as the engine's
+  // decoder reads plain payloads only.
+  RamArena::Allocation staged = device.ram().allocate(artifact.size());
+  std::copy(artifact.begin(), artifact.end(), staged.data());
+  ByteView body = staged.view();
+  Bytes uncompressed;
+  if (!hop.full_image) {
+    const auto parsed = try_parse_header(body);
+    if (parsed && parsed->first.compress_payload) {
+      DeltaFile file = deserialize_delta(body);
+      file.compress_payload = false;
+      uncompressed = serialize_delta(file);
+      body = uncompressed;
+    }
+  }
+  hop.artifact_crc = crc32c(body);
+  hop.artifact_size = body.size();
+
+  const auto newest = StreamingDeviceUpdater::probe(device, journal, options);
+  if (newest && !newest->done &&
+      (newest->info.artifact_crc != hop.artifact_crc ||
+       newest->info.artifact_size != hop.artifact_size)) {
+    throw DeviceError(
+        "staged apply: the journal holds another artifact mid-apply");
+  }
+
+  StreamingDeviceUpdater updater(device, journal, hop, options);
+  StagedApplyResult result;
+  result.resumed = updater.resumed();
+  result.resumed_at = updater.next_offset();
+  for (std::size_t pos = static_cast<std::size_t>(updater.next_offset());
+       !updater.finished() && pos < body.size();
+       pos = static_cast<std::size_t>(updater.next_offset())) {
+    updater.feed(body.subspan(
+        pos, std::min(options.window_bytes, body.size() - pos)));
+  }
+  if (!updater.finished()) {
+    throw FormatError("staged apply: artifact ended before the apply finished");
+  }
+  result.journal_records = updater.journal_records();
+  return result;
 }
 
 }  // namespace ipd

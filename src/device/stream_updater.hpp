@@ -1,12 +1,12 @@
 // Power-loss-safe *streaming* in-place apply: the journaled sibling of
 // apply/stream_applier.hpp, writing straight to FlashDevice storage while
-// the artifact is still arriving over the network.
+// the artifact is still arriving over the network. It is the repo's one
+// journaled device engine: a staged device, which downloads the whole
+// artifact before the first flash write, feeds the same engine from its
+// RAM buffer (apply_staged below).
 //
-// The staged path (device/resumable_updater.hpp) downloads the whole
-// delta before the first flash write — RAM = artifact size. A constrained
-// device streams instead: each command is applied the moment its bytes
-// arrive, and the apply journal (apply/apply_journal.hpp) makes that
-// survivable:
+// Each command is applied the moment its bytes arrive, and the apply
+// journal (apply/apply_journal.hpp) makes that survivable:
 //
 //  * Replay-idempotent batching. Equation 2 guarantees no command writes
 //    over a LATER command's reads, but says nothing about the reverse —
@@ -30,7 +30,7 @@
 //    full_image_checkpoint_bytes carry the running CRC-32C, and rewrites
 //    after a torn write are idempotent.
 //
-// Trust note: the staged path can run the static Verifier over the whole
+// Trust note: a staged device can run the static Verifier over the whole
 // artifact before the first flash write; a streaming device cannot. It
 // gets incremental gating instead — header validation, per-command
 // bounds, and the write-before-read conflict oracle run BEFORE each
@@ -62,13 +62,6 @@ struct StreamUpdaterOptions {
   std::size_t header_capacity = 256;
   /// Full-image mode: checkpoint cadence in artifact bytes.
   std::uint64_t full_image_checkpoint_bytes = 64u << 10;
-  /// Verify the reconstruction against the artifact checksum by
-  /// streaming storage back through the window before the done record.
-  bool verify_crc = true;
-  /// Track written intervals and throw ConflictError on a write-before-
-  /// read violation instead of corrupting (defense in depth behind the
-  /// server-side Verifier).
-  bool check_conflicts = true;
 };
 
 /// Identity and hop metadata of the artifact being applied — journaled in
@@ -215,7 +208,9 @@ class StreamingDeviceUpdater {
   std::size_t batch_count_ = 0;
   std::optional<std::uint64_t> pending_resume_substep_;
 
-  // Conflict oracle: union of written intervals (first -> last).
+  // Conflict oracle: union of written intervals (first -> last). A
+  // write-before-read violation throws ConflictError instead of
+  // corrupting (defense in depth behind the server-side Verifier).
   std::map<offset_t, offset_t> written_;
 
   // Full-image mode state.
@@ -227,5 +222,33 @@ class StreamingDeviceUpdater {
   bool finished_ = false;
   bool poisoned_ = false;
 };
+
+/// What apply_staged() did.
+struct StagedApplyResult {
+  bool resumed = false;  ///< the journal held a record for this artifact
+  std::uint64_t resumed_at = 0;       ///< artifact byte feeding started at
+  std::uint64_t journal_records = 0;  ///< records this call appended
+};
+
+/// Apply a fully buffered artifact — a serialized in-place delta, or a
+/// full image when `hop.full_image` — through StreamingDeviceUpdater.
+/// The artifact is first staged in device RAM at its received size, so a
+/// device that cannot hold it fails with DeviceError before any flash
+/// write. An LZSS container is then re-serialized without compression
+/// into a host-side buffer (the engine decodes incrementally and cannot
+/// decompress); that form is deterministic, so its identity is stable
+/// across calls. `hop` supplies the journaled hop metadata; artifact_crc
+/// and artifact_size are computed here from the bytes applied. An
+/// artifact that ends before the apply finishes throws FormatError.
+///
+/// Call again with the same arguments after a FlashDevice::PowerFailure
+/// to resume from the journal; a completed artifact is not re-applied.
+/// Refuses with DeviceError, before any flash write, when the journal
+/// holds another artifact mid-apply: that image is half rebuilt and only
+/// its own artifact can finish it.
+StagedApplyResult apply_staged(FlashDevice& device,
+                               const JournalRegion& journal,
+                               ByteView artifact, StreamArtifactInfo hop,
+                               const StreamUpdaterOptions& options = {});
 
 }  // namespace ipd

@@ -1,7 +1,10 @@
 // The on-device updater: receives an in-place delta over a channel and
 // rebuilds the new software version directly in device storage.
 //
-// This is the paper's §1 scenario executed literally. RAM use is bounded
+// This is the paper's §1 scenario executed literally, with no journal: a
+// power cut mid-apply leaves neither version. The journaled engine is
+// device/stream_updater.hpp (apply_staged for a buffered artifact); this
+// plain updater is its reference in bench_ablation and bench_update_time. RAM use is bounded
 // and enforced by the device's RamArena: the delta itself (devices stage
 // the downloaded delta in RAM — it is small) plus one fixed copy window.
 // Copies whose read and write ranges overlap are performed window-by-
@@ -46,7 +49,7 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
 
 /// Storage-to-storage copy through a bounded RAM window, ordered so
 /// overlapping source/destination never reads an overwritten byte
-/// (§4.1's buffer-granular copy). Shared by the plain and resumable
+/// (§4.1's buffer-granular copy). Shared by the plain and journaled
 /// updaters; exposed for tests.
 void device_windowed_copy(FlashDevice& device, MutByteView window,
                           offset_t from, offset_t to, length_t length);
@@ -65,7 +68,7 @@ struct CopySubstep {
 /// Split a self-overlapping copy into window-sized sub-steps in the §4.1
 /// direction (left-to-right when f >= t, right-to-left otherwise), so
 /// executing them in order never reads a byte an earlier sub-step wrote.
-/// Shared by the resumable (staged) and streaming journaled updaters.
+/// Used by the journaled engine (device/stream_updater.hpp).
 std::vector<CopySubstep> split_self_overlapping_copy(
     const CopyCommand& copy, std::size_t window_bytes);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <variant>
 
@@ -20,9 +21,9 @@ namespace {
 
 /// The server refused a RESUME: the artifact changed since the transfer
 /// started and it advises restarting from GET_DELTA. Recoverable only
-/// where nothing has been applied yet — download_hop discards its
-/// journal and re-requests; stream_hop lets it escape as a fatal Error
-/// because the in-place buffer already absorbed part of the old
+/// where nothing has been applied yet — the staged download discards its
+/// journal and re-requests; the streaming flows let it escape as a fatal
+/// Error because their buffer or flash already absorbed part of the old
 /// artifact.
 class BadResumeError : public Error {
  public:
@@ -153,33 +154,47 @@ void OtaClient::backoff(std::size_t attempt, OtaReport& report) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-OtaReport OtaClient::update_streaming(Bytes& image, ReleaseId current,
-                                      ReleaseId target) {
-  const obs::TraceContext trace = mint_update_trace();
-  const obs::TraceScope scope(trace);
-  obs::FlightRecorder flight("ota:stream " + std::to_string(current) + "->" +
-                                 std::to_string(target),
-                             trace);
-  const obs::FlightScope flight_scope(flight);
-  OtaReport report;
-  while (current < target) {
-    current = stream_hop(image, current, target, report);
-    ++report.hops;
-  }
-  report.final_release = current;
-  return report;
-}
-
-ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
-                                ReleaseId target, OtaReport& report) {
-  // Hop state lives across attempts: the applier's consumed-byte count
-  // *is* the resume offset, so a reconnect continues mid-command without
-  // re-applying anything.
-  DeltaBeginMsg meta;
-  std::unique_ptr<StreamingInplaceApplier> applier;
-  std::uint64_t received = 0;
+/// Where one hop's artifact bytes go. transfer_hop owns the wire —
+/// connect, trace and watchdog, GET_DELTA or RESUME, the DELTA_BEGIN/
+/// DATA/END checks, retries and backoff; each flow supplies only its
+/// consumer and its policy on a refused resume.
+struct OtaClient::HopSink {
+  /// Set once the hop's DELTA_BEGIN was accepted, or restored from a
+  /// journal: later attempts RESUME at offset() instead of GET_DELTA.
   bool begun = false;
+  ReleaseId from = 0;       ///< hop source (RESUME.from)
+  ReleaseId to = 0;         ///< hop target: the release after the hop
+  ReleaseId resume_to = 0;  ///< original GET_DELTA target (RESUME.to)
+  std::uint32_t artifact_crc = 0;
+  std::uint64_t total_size = 0;
 
+  /// Artifact bytes consumed so far: where a RESUME continues.
+  std::function<std::uint64_t()> offset;
+  /// The hop's first DELTA_BEGIN, already checked against the request.
+  std::function<void(const DeltaBeginMsg&)> begin;
+  /// The next in-order DELTA_DATA payload, within the announced size.
+  std::function<void(ByteView)> feed;
+  /// DELTA_END matched the bytes received: throw unless the artifact is
+  /// complete and sound.
+  std::function<void()> end;
+  /// A refused RESUME: reset the consumer so the hop is re-requested
+  /// with GET_DELTA. Null where the consumer already absorbed part of
+  /// the old artifact, which makes the refusal fatal.
+  std::function<void()> restart;
+
+  void resume_from(ReleaseId hop_from, ReleaseId hop_to, ReleaseId target,
+                   std::uint32_t crc, std::uint64_t size) {
+    begun = true;
+    from = hop_from;
+    to = hop_to;
+    resume_to = target;
+    artifact_crc = crc;
+    total_size = size;
+  }
+};
+
+void OtaClient::transfer_hop(HopSink& sink, ReleaseId current,
+                             ReleaseId target, OtaReport& report) {
   std::size_t attempt = 0;
   for (;;) {
     // Each attempt is its own span (a child of the update trace) so the
@@ -187,7 +202,7 @@ ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
     // spans parent onto the attempt that actually reached it.
     const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
     const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client stream_hop", attempt_ctx,
+    obs::WatchdogGuard watchdog("client hop", attempt_ctx,
                                 options_.stall_deadline_ms * 1'000'000);
     Session session;
     try {
@@ -197,37 +212,30 @@ ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
       if (session.traced && attempt_ctx.valid()) {
         conn.set_outbound_trace(attempt_ctx);
       }
-      if (!begun) {
+      if (!sink.begun) {
         conn.send(GetDeltaMsg{current, target});
       } else {
         ++report.resumes;
         // `to` is the original GET_DELTA target, not the hop target: the
         // server re-derives the same route (deterministic pipeline), so
         // DELTA_BEGIN.last_hop stays truthful on resumed transfers.
-        conn.send(ResumeMsg{meta.from, target, received, meta.artifact_crc});
+        conn.send(ResumeMsg{sink.from, sink.resume_to, sink.offset(),
+                            sink.artifact_crc});
       }
       const auto begin = expect<DeltaBeginMsg>(conn, "DELTA_BEGIN");
-      if (!begun) {
+      if (!sink.begun) {
         if (begin.from != current || begin.start_offset != 0 ||
             begin.to <= current) {
           throw Error("protocol violation: DELTA_BEGIN does not match the "
                       "request");
         }
-        meta = begin;
-        if (begin.full_image) {
-          image.resize(static_cast<std::size_t>(
-              std::max<std::uint64_t>(image.size(), begin.version_length)));
-        } else {
-          image.resize(static_cast<std::size_t>(std::max(
-              begin.reference_length, begin.version_length)));
-          applier = std::make_unique<StreamingInplaceApplier>(
-              MutByteView(image));
-        }
-        begun = true;
-      } else if (begin.artifact_crc != meta.artifact_crc ||
-                 begin.start_offset != received) {
-        // The server refused or mangled the resume; the partially
-        // applied image cannot absorb a different artifact.
+        sink.begin(begin);
+        sink.resume_from(begin.from, begin.to, target, begin.artifact_crc,
+                         begin.total_size);
+      } else if (begin.artifact_crc != sink.artifact_crc ||
+                 begin.start_offset != sink.offset()) {
+        // The server mangled the resume; a consumer holding part of the
+        // old artifact cannot absorb a different one.
         throw Error("resume mismatch: server offered a different artifact "
                     "or offset");
       }
@@ -235,81 +243,62 @@ ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
       for (;;) {
         Message message = expect_message(conn);
         if (auto* data = std::get_if<DeltaDataMsg>(&message)) {
-          if (data->offset != received) {
+          const std::uint64_t at = sink.offset();
+          if (data->offset != at) {
             throw Error("protocol violation: DELTA_DATA at offset " +
                         std::to_string(data->offset) + ", expected " +
-                        std::to_string(received));
+                        std::to_string(at));
           }
-          if (data->data.size() > meta.total_size - received) {
+          if (data->data.size() > sink.total_size - at) {
             throw Error("protocol violation: DELTA_DATA overruns the "
                         "announced artifact size");
           }
-          if (applier != nullptr) {
-            try {
-              applier->feed(data->data);
-            } catch (const Error& e) {
-              // Frame CRCs passed, so these bytes are what the server
-              // sent: the artifact itself is bad. Retrying cannot help
-              // and the buffer is poisoned — fail the update loudly.
-              throw Error(std::string("artifact rejected mid-stream: ") +
-                          e.what());
-            }
-          } else {
-            // The applier path bounds-checks internally; this raw copy
-            // must not trust server-controlled sizes. total_size and
-            // version_length are announced independently, so check the
-            // actual destination buffer, not just the artifact size.
-            if (data->data.size() > image.size() - received) {
-              throw Error("protocol violation: DELTA_DATA overruns the "
-                          "image buffer");
-            }
-            std::copy(data->data.begin(), data->data.end(),
-                      image.begin() + static_cast<std::ptrdiff_t>(
-                                          data->offset));
+          try {
+            sink.feed(data->data);
+          } catch (const FlashDevice::PowerFailure&) {
+            throw;  // the simulated crash — the journal resumes the hop
+          } catch (const Error& e) {
+            // Frame CRCs passed, so these bytes are what the server
+            // sent: the artifact itself is bad (or violates the device's
+            // safety gates). Retrying cannot help.
+            throw Error(std::string("artifact rejected mid-stream: ") +
+                        e.what());
           }
-          received += data->data.size();
           report.artifact_bytes += data->data.size();
           span.add_bytes(data->data.size());
-          watchdog.progress(received);
+          watchdog.progress(sink.offset());
         } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
-          if (end->total_size != received ||
-              end->artifact_crc != meta.artifact_crc) {
+          if (end->total_size != sink.offset() ||
+              end->artifact_crc != sink.artifact_crc) {
             throw TransportError(NetErrc::kTruncated,
                                  "artifact ended early (" +
-                                     std::to_string(received) + " of " +
+                                     std::to_string(sink.offset()) + " of " +
                                      std::to_string(end->total_size) +
                                      " bytes)");
           }
-          if (applier != nullptr) {
-            if (!applier->finished()) {
-              throw Error("artifact complete on the wire but the delta "
-                          "stream did not finish: truncated or corrupt "
-                          "container");
-            }
-          } else if (crc32c(ByteView(image.data(),
-                                     static_cast<std::size_t>(
-                                         meta.version_length))) !=
-                     meta.artifact_crc) {
-            throw Error("full image failed its checksum after reassembly");
-          }
-          image.resize(static_cast<std::size_t>(meta.version_length));
+          sink.end();
           report.bytes_received += conn.bytes_received();
-          return meta.to;
+          return;
         } else {
           throw Error("protocol violation: unexpected frame inside a "
                       "transfer");
         }
       }
     } catch (const TransportError&) {
-      // fall through to retry
+      // fall through to retry; the consumer's offset is the resume point
     } catch (const FormatError&) {
-      // corrupt frame (e.g. injected bit flip) — stream unusable, resume
+      // corrupt frame (e.g. injected bit flip) — the frame CRC rejected
+      // it before any byte reached the consumer; reconnect and resume
     } catch (const BadResumeError&) {
-      // Fatal here: the in-place buffer already absorbed part of the old
-      // artifact, so a restarted transfer cannot be applied. Leave the
-      // evidence before escaping.
-      dump_active_flight("fatal bad resume mid-stream");
-      throw;
+      if (!sink.restart) {
+        dump_active_flight("fatal bad resume mid-transfer");
+        throw;
+      }
+      if (obs::FlightRecorder* fr = obs::active_flight_recorder()) {
+        fr->note("bad resume: discarding the transfer, re-requesting");
+      }
+      sink.restart();
+      sink.begun = false;
     }
     if (session.conn != nullptr) {
       report.bytes_received += session.conn->bytes_received();
@@ -325,126 +314,76 @@ ReleaseId OtaClient::stream_hop(Bytes& image, ReleaseId current,
   }
 }
 
-void OtaClient::download_hop(TransferJournal& journal, ReleaseId current,
-                             ReleaseId target, OtaReport& report) {
-  if (journal.active && journal.total_size > 0 &&
-      journal.received.size() == journal.total_size) {
-    return;  // download already complete; only the apply is pending
-  }
-  std::size_t attempt = 0;
-  for (;;) {
-    const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
-    const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client download_hop", attempt_ctx,
-                                options_.stall_deadline_ms * 1'000'000);
-    Session session;
-    try {
-      obs::Span span(obs::Stage::kNetRequest);
-      session = connect_session();
-      FramedConnection& conn = *session.conn;
-      if (session.traced && attempt_ctx.valid()) {
-        conn.set_outbound_trace(attempt_ctx);
-      }
-      if (!journal.active) {
-        conn.send(GetDeltaMsg{current, target});
+OtaReport OtaClient::update_streaming(Bytes& image, ReleaseId current,
+                                      ReleaseId target) {
+  const obs::TraceContext trace = mint_update_trace();
+  const obs::TraceScope scope(trace);
+  obs::FlightRecorder flight("ota:stream " + std::to_string(current) + "->" +
+                                 std::to_string(target),
+                             trace);
+  const obs::FlightScope flight_scope(flight);
+  OtaReport report;
+  while (current < target) {
+    // The applier's consumed-byte count *is* the resume offset, so a
+    // reconnect continues mid-command without re-applying anything.
+    // The in-place buffer cannot absorb a different artifact, so a
+    // refused resume is fatal (no restart).
+    std::unique_ptr<StreamingInplaceApplier> applier;
+    std::uint64_t received = 0;
+    std::size_t version_length = 0;
+    HopSink sink;
+    sink.offset = [&] { return received; };
+    sink.begin = [&](const DeltaBeginMsg& begin) {
+      version_length = static_cast<std::size_t>(begin.version_length);
+      if (begin.full_image) {
+        image.resize(std::max(image.size(), version_length));
       } else {
-        ++report.resumes;
-        // As in stream_hop: echo the original target so the server
-        // re-derives the same route and last_hop stays truthful.
-        conn.send(ResumeMsg{journal.from, target, journal.received.size(),
-                            journal.artifact_crc});
+        image.resize(static_cast<std::size_t>(
+            std::max(begin.reference_length, begin.version_length)));
+        applier = std::make_unique<StreamingInplaceApplier>(MutByteView(image));
       }
-      const auto begin = expect<DeltaBeginMsg>(conn, "DELTA_BEGIN");
-      if (!journal.active) {
-        if (begin.from != current || begin.start_offset != 0 ||
-            begin.to <= current) {
-          throw Error("protocol violation: DELTA_BEGIN does not match the "
-                      "request");
+    };
+    sink.feed = [&](ByteView data) {
+      if (applier != nullptr) {
+        applier->feed(data);
+      } else {
+        // The applier bounds-checks internally; this raw copy must not
+        // trust server-controlled sizes. total_size and version_length
+        // are announced independently, so check the actual destination
+        // buffer, not just the artifact size.
+        if (data.size() > image.size() - received) {
+          throw Error("protocol violation: DELTA_DATA overruns the image "
+                      "buffer");
         }
-        journal.active = true;
-        journal.from = begin.from;
-        journal.hop_to = begin.to;
-        journal.full_image = begin.full_image != 0;
-        journal.total_size = begin.total_size;
-        journal.reference_length = begin.reference_length;
-        journal.version_length = begin.version_length;
-        journal.artifact_crc = begin.artifact_crc;
-        // No reserve(total_size): it is a server-supplied u64, and one
-        // hostile DELTA_BEGIN must not commit gigabytes up front. The
-        // buffer grows only as CRC-verified chunks actually arrive.
-        journal.received.clear();
-      } else if (begin.artifact_crc != journal.artifact_crc ||
-                 begin.start_offset != journal.received.size()) {
-        throw Error("resume mismatch: server offered a different artifact "
-                    "or offset");
+        std::copy(data.begin(), data.end(),
+                  image.begin() + static_cast<std::ptrdiff_t>(received));
       }
-
-      for (;;) {
-        Message message = expect_message(conn);
-        if (auto* data = std::get_if<DeltaDataMsg>(&message)) {
-          if (data->offset != journal.received.size()) {
-            throw Error("protocol violation: DELTA_DATA out of order");
-          }
-          if (data->data.size() >
-              journal.total_size - journal.received.size()) {
-            throw Error("protocol violation: DELTA_DATA overruns the "
-                        "announced artifact size");
-          }
-          journal.received.insert(journal.received.end(), data->data.begin(),
-                                  data->data.end());
-          span.add_bytes(data->data.size());
-          watchdog.progress(journal.received.size());
-        } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
-          if (end->total_size != journal.received.size() ||
-              end->artifact_crc != journal.artifact_crc) {
-            throw TransportError(NetErrc::kTruncated, "artifact ended early");
-          }
-          // Defense in depth: per-frame CRCs already vetted every chunk,
-          // but the whole-artifact checksum is what the device trusts
-          // before it starts destroying its only reference copy.
-          if (crc32c(journal.received) != journal.artifact_crc) {
-            throw Error("artifact failed its end-to-end checksum");
-          }
-          report.bytes_received += conn.bytes_received();
-          report.artifact_bytes += journal.received.size();
-          return;
-        } else {
-          throw Error("protocol violation: unexpected frame inside a "
-                      "transfer");
+      received += data.size();
+    };
+    sink.end = [&] {
+      if (applier != nullptr) {
+        if (!applier->finished()) {
+          throw Error("artifact complete on the wire but the delta stream "
+                      "did not finish: truncated or corrupt container");
         }
+      } else if (crc32c(ByteView(image.data(), version_length)) !=
+                 sink.artifact_crc) {
+        throw Error("full image failed its checksum after reassembly");
       }
-    } catch (const BadResumeError&) {
-      // The artifact changed between attempts and the server advises
-      // restarting from GET_DELTA. Nothing has been applied yet, so the
-      // journaled prefix is disposable: discard it and re-request the
-      // hop from scratch. (stream_hop cannot do this — its in-place
-      // buffer already absorbed part of the old artifact — so there the
-      // same error stays fatal.)
-      if (obs::FlightRecorder* fr = obs::active_flight_recorder()) {
-        fr->note("bad resume: discarding transfer journal, re-requesting");
-      }
-      journal = TransferJournal{};
-    } catch (const TransportError&) {
-    } catch (const FormatError&) {
-    }
-    if (session.conn != nullptr) {
-      report.bytes_received += session.conn->bytes_received();
-    }
-    ++attempt;
-    if (attempt >= options_.max_attempts) {
-      dump_active_flight("transfer abort: attempts exhausted");
-      throw Error("download failed after " + std::to_string(attempt) +
-                  " attempts (hop " + std::to_string(current) + " -> " +
-                  std::to_string(target) + ")");
-    }
-    backoff(attempt, report);
+      image.resize(version_length);
+    };
+    transfer_hop(sink, current, target, report);
+    current = sink.to;
+    ++report.hops;
   }
+  report.final_release = current;
+  return report;
 }
 
 OtaReport OtaClient::update_device(FlashDevice& device,
                                    const JournalRegion& journal,
                                    ReleaseId current, ReleaseId target,
-                                   const ChannelModel& channel,
+                                   const StreamUpdaterOptions& apply_options,
                                    TransferJournal* transfer) {
   const obs::TraceContext trace = mint_update_trace();
   const obs::TraceScope scope(trace);
@@ -455,26 +394,81 @@ OtaReport OtaClient::update_device(FlashDevice& device,
   OtaReport report;
   TransferJournal local;
   TransferJournal& tj = transfer != nullptr ? *transfer : local;
-  if (tj.active) {
-    if (tj.from >= current && tj.from < target) {
-      // The journal belongs to a later hop of this same upgrade — the
-      // caller's `current` went stale (e.g. a crash landed between the
-      // apply finishing and the caller recording the new release). The
-      // downloaded prefix is still consistent with the device, so trust
-      // the journal forward instead of throwing away its bytes — or,
-      // worse, re-requesting a hop the flash journal may be mid-apply
-      // on, whose delta would then shred the half-written image.
-      current = tj.from;
-    } else {
-      tj = TransferJournal{};  // journal from another lifetime — discard
+  for (;;) {
+    // The apply journal is the device's durable memory of this upgrade,
+    // read as in update_device_streaming: a done record fast-forwards a
+    // stale `current`; an in-flight record pins the hop to its source
+    // release, finished from a complete transfer journal or by
+    // re-requesting exactly that hop.
+    std::optional<StreamApplyProbe> probe =
+        StreamingDeviceUpdater::probe(device, journal, apply_options);
+    if (probe && probe->done) {
+      current = std::max(current, probe->info.meta_hop);
+      probe.reset();
     }
-  }
-  while (current < target) {
-    download_hop(tj, current, target, report);
-    if (tj.full_image) {
-      // Idempotent: a torn write is simply redone on the next call.
-      device.write(0, tj.received);
-    } else {
+    ReleaseId hop_target = target;
+    if (probe) {
+      current = probe->info.meta_from;
+      hop_target = probe->info.meta_target;
+      if (tj.active && tj.from != current) {
+        tj = TransferJournal{};  // a different hop: useless until this lands
+      }
+    } else if (tj.active) {
+      if (tj.from >= current && tj.from < target) {
+        // The transfer journal belongs to a later hop of this upgrade —
+        // the caller's `current` went stale. Its prefix is consistent
+        // with the device, so trust it forward rather than re-request.
+        current = tj.from;
+      } else {
+        tj = TransferJournal{};  // journal from another lifetime — discard
+      }
+    }
+    if (!probe && current >= target) {
+      break;
+    }
+
+    // Download the hop into `tj`, resumable at byte granularity across
+    // connection faults and client restarts.
+    if (!tj.active || tj.received.size() != tj.total_size) {
+      HopSink sink;
+      if (tj.active) {
+        sink.resume_from(tj.from, tj.hop_to, hop_target, tj.artifact_crc,
+                         tj.total_size);
+      }
+      sink.offset = [&] { return tj.received.size(); };
+      sink.begin = [&](const DeltaBeginMsg& begin) {
+        tj.active = true;
+        tj.from = begin.from;
+        tj.hop_to = begin.to;
+        tj.full_image = begin.full_image != 0;
+        tj.total_size = begin.total_size;
+        tj.reference_length = begin.reference_length;
+        tj.version_length = begin.version_length;
+        tj.artifact_crc = begin.artifact_crc;
+        // No reserve(total_size): it is a server-supplied u64, and one
+        // hostile DELTA_BEGIN must not commit gigabytes up front. The
+        // buffer grows only as CRC-verified chunks actually arrive.
+        tj.received.clear();
+      };
+      sink.feed = [&](ByteView data) {
+        tj.received.insert(tj.received.end(), data.begin(), data.end());
+      };
+      sink.end = [&] {
+        // Defense in depth: per-frame CRCs already vetted every chunk,
+        // but the whole-artifact checksum is what the device trusts
+        // before it starts destroying its only reference copy.
+        if (crc32c(tj.received) != tj.artifact_crc) {
+          throw Error("artifact failed its end-to-end checksum");
+        }
+      };
+      // Nothing is applied before the download completes, so a refused
+      // resume only costs the journaled prefix: discard it and
+      // re-request the hop.
+      sink.restart = [&] { tj = TransferJournal{}; };
+      transfer_hop(sink, current, hop_target, report);
+    }
+
+    if (!tj.full_image) {
       // Last line of defense before the first flash write: the frame
       // checksums only prove the bytes arrived intact, not that the
       // delta is safe to apply without scratch space. A server bug (or
@@ -503,10 +497,17 @@ OtaReport OtaClient::update_device(FlashDevice& device,
         tj = TransferJournal{};  // the artifact is poison; never resume it
         throw Error(why);
       }
-      // PowerFailure propagates with `tj` intact; the next call skips
-      // the download and the flash journal resumes the apply.
-      apply_update_resumable(device, tj.received, channel, journal);
     }
+    // The journaled engine refuses a full image that would reach into
+    // the journal region before writing anything. PowerFailure
+    // propagates with `tj` intact; the next call skips the download and
+    // the apply journal resumes the apply.
+    StreamArtifactInfo hop;
+    hop.full_image = tj.full_image;
+    hop.meta_from = tj.from;
+    hop.meta_hop = tj.hop_to;
+    hop.meta_target = hop_target;
+    apply_staged(device, journal, tj.received, hop, apply_options);
     ++report.hops;
     current = tj.hop_to;
     tj = TransferJournal{};
@@ -540,60 +541,24 @@ OtaReport OtaClient::update_device_streaming(
     if (!probe && current >= target) {
       break;
     }
-    current = stream_device_hop(device, journal, current, target,
-                                std::move(probe), apply_options, report);
-    ++report.hops;
-  }
-  report.final_release = current;
-  return report;
-}
-
-ReleaseId OtaClient::stream_device_hop(
-    FlashDevice& device, const JournalRegion& journal, ReleaseId current,
-    ReleaseId target, std::optional<StreamApplyProbe> probe,
-    const StreamUpdaterOptions& apply_options, OtaReport& report) {
-  StreamArtifactInfo info;
-  std::unique_ptr<StreamingDeviceUpdater> updater;
-  if (probe) {
-    // Reboot recovery: reconstruct the mid-hop state from the journal
-    // alone — header, command position, checksum state, undo window.
-    info = probe->info;
-    updater = std::make_unique<StreamingDeviceUpdater>(device, journal, info,
-                                                       apply_options);
-    if (updater->finished()) {
-      return info.meta_hop;
+    // Flash already holds part of the artifact once the updater exists,
+    // so a refused resume is fatal (no restart): only the journal can
+    // finish this hop.
+    StreamArtifactInfo info;
+    std::unique_ptr<StreamingDeviceUpdater> updater;
+    HopSink sink;
+    if (probe) {
+      // Reboot recovery: reconstruct the mid-hop state from the journal
+      // alone — header, command position, checksum state, undo window.
+      info = probe->info;
+      updater = std::make_unique<StreamingDeviceUpdater>(device, journal,
+                                                         info, apply_options);
+      sink.resume_from(info.meta_from, info.meta_hop, info.meta_target,
+                       info.artifact_crc, info.artifact_size);
     }
-  }
-  std::size_t attempt = 0;
-  for (;;) {
-    const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
-    const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client stream_device_hop", attempt_ctx,
-                                options_.stall_deadline_ms * 1'000'000);
-    Session session;
-    try {
-      obs::Span span(obs::Stage::kNetRequest);
-      session = connect_session();
-      FramedConnection& conn = *session.conn;
-      if (session.traced && attempt_ctx.valid()) {
-        conn.set_outbound_trace(attempt_ctx);
-      }
-      if (updater == nullptr) {
-        conn.send(GetDeltaMsg{current, target});
-      } else {
-        ++report.resumes;
-        // As in stream_hop: echo the original target so the server
-        // re-derives the same route and the artifact identity matches.
-        conn.send(ResumeMsg{info.meta_from, info.meta_target,
-                            updater->next_offset(), info.artifact_crc});
-      }
-      const auto begin = expect<DeltaBeginMsg>(conn, "DELTA_BEGIN");
-      if (updater == nullptr) {
-        if (begin.from != current || begin.start_offset != 0 ||
-            begin.to <= current) {
-          throw Error("protocol violation: DELTA_BEGIN does not match the "
-                      "request");
-        }
+    if (updater == nullptr || !updater->finished()) {
+      sink.offset = [&] { return updater->next_offset(); };
+      sink.begin = [&](const DeltaBeginMsg& begin) {
         info.artifact_crc = begin.artifact_crc;
         info.artifact_size = begin.total_size;
         info.full_image = begin.full_image != 0;
@@ -604,77 +569,21 @@ ReleaseId OtaClient::stream_device_hop(
         // flash write; from here on the hop survives power cuts.
         updater = std::make_unique<StreamingDeviceUpdater>(
             device, journal, info, apply_options);
-      } else if (begin.artifact_crc != info.artifact_crc ||
-                 begin.start_offset != updater->next_offset()) {
-        throw Error("resume mismatch: server offered a different artifact "
-                    "or offset");
-      }
-
-      for (;;) {
-        Message message = expect_message(conn);
-        if (auto* data = std::get_if<DeltaDataMsg>(&message)) {
-          if (data->offset != updater->next_offset()) {
-            throw Error("protocol violation: DELTA_DATA at offset " +
-                        std::to_string(data->offset) + ", expected " +
-                        std::to_string(updater->next_offset()));
-          }
-          try {
-            updater->feed(data->data);
-          } catch (const FlashDevice::PowerFailure&) {
-            throw;  // the simulated crash — the journal resumes the hop
-          } catch (const Error& e) {
-            // Frame CRCs passed, so these bytes are what the server
-            // sent: the artifact itself is bad (or violates the device's
-            // safety gates). Retrying cannot help.
-            throw Error(std::string("artifact rejected mid-stream: ") +
-                        e.what());
-          }
-          report.artifact_bytes += data->data.size();
-          span.add_bytes(data->data.size());
-          watchdog.progress(updater->next_offset());
-        } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
-          if (end->total_size != updater->next_offset() ||
-              end->artifact_crc != info.artifact_crc) {
-            throw TransportError(
-                NetErrc::kTruncated,
-                "artifact ended early (" +
-                    std::to_string(updater->next_offset()) + " of " +
-                    std::to_string(end->total_size) + " bytes)");
-          }
-          if (!updater->finished()) {
-            throw Error("artifact complete on the wire but the apply did "
-                        "not finish: truncated or corrupt container");
-          }
-          report.bytes_received += conn.bytes_received();
-          return info.meta_hop;
-        } else {
-          throw Error("protocol violation: unexpected frame inside a "
-                      "transfer");
+      };
+      sink.feed = [&](ByteView data) { updater->feed(data); };
+      sink.end = [&] {
+        if (!updater->finished()) {
+          throw Error("artifact complete on the wire but the apply did not "
+                      "finish: truncated or corrupt container");
         }
-      }
-    } catch (const TransportError&) {
-      // fall through to retry; the updater's position is the resume point
-    } catch (const FormatError&) {
-      // corrupt frame (e.g. injected bit flip) — the frame CRC rejected
-      // it before any byte reached the updater; reconnect and resume
-    } catch (const BadResumeError&) {
-      // Fatal here: flash already holds part of the old artifact; only
-      // the journal can finish this hop. Leave evidence before escaping.
-      dump_active_flight("fatal bad resume mid-apply");
-      throw;
+      };
+      transfer_hop(sink, current, target, report);
     }
-    if (session.conn != nullptr) {
-      report.bytes_received += session.conn->bytes_received();
-    }
-    ++attempt;
-    if (attempt >= options_.max_attempts) {
-      dump_active_flight("transfer abort: attempts exhausted");
-      throw Error("update failed after " + std::to_string(attempt) +
-                  " attempts (hop " + std::to_string(current) + " -> " +
-                  std::to_string(target) + ")");
-    }
-    backoff(attempt, report);
+    current = sink.to;
+    ++report.hops;
   }
+  report.final_release = current;
+  return report;
 }
 
 std::string OtaClient::fetch_metrics() {

@@ -1,7 +1,7 @@
 // OtaClient: the device side of the wire protocol — stream an upgrade
 // over an unreliable link and survive everything the link does to you.
 //
-// Two consumption modes, matching the two device stories in the repo:
+// Three consumption modes, one per device story in the repo:
 //
 //  * update_streaming() — DELTA_DATA chunks are fed straight into a
 //    StreamingInplaceApplier as they arrive, so peak RAM is one command
@@ -14,21 +14,25 @@
 //  * update_device() — each hop's artifact is first downloaded into a
 //    TransferJournal (resumable at byte granularity across connection
 //    faults AND client restarts: hand the same journal to a fresh
-//    client and it picks up at the journaled offset), then applied to
-//    the FlashDevice through device/resumable_updater, whose on-flash
-//    journal makes the apply itself power-failure tolerant. A simulated
-//    PowerFailure propagates; call update_device() again with the same
-//    arguments to resume both halves.
+//    client and it picks up at the journaled offset), checked by the
+//    static Verifier, then applied to the FlashDevice from that buffer
+//    by the journaled engine (device/stream_updater, apply_staged),
+//    whose on-flash journal makes the apply itself power-failure
+//    tolerant. A simulated PowerFailure propagates; call update_device()
+//    again with the same arguments to resume both halves.
 //
-// Both modes upgrade hop by hop: the server streams one artifact per
-// request (the first step of its chosen route), the client applies it
-// and asks again from its new release until it runs the target.
+//  * update_device_streaming() — the same engine fed straight from the
+//    wire: peak RAM is one copy window plus one journal slot.
+//
+// All flows share one hop-transfer loop (transfer_hop) and upgrade hop
+// by hop: the server streams one artifact per request (the first step
+// of its chosen route), the client applies it and asks again from its
+// new release until it runs the target.
 #pragma once
 
 #include <functional>
 #include <memory>
 
-#include "device/resumable_updater.hpp"
 #include "device/stream_updater.hpp"
 #include "net/transport.hpp"
 #include "server/metrics.hpp"
@@ -100,13 +104,17 @@ class OtaClient {
                              ReleaseId target);
 
   /// Upgrade a FlashDevice holding release `current` to `target`:
-  /// download each hop into `transfer` (resumable), then apply with the
-  /// journaled updater (`journal` is the on-flash journal region).
-  /// FlashDevice::PowerFailure propagates — call again to resume.
+  /// download each hop into `transfer` (resumable), verify it, then
+  /// apply it with apply_staged (`journal` is the on-flash journal
+  /// region, laid out by `apply_options` as for update_device_streaming).
+  /// FlashDevice::PowerFailure propagates — call again to resume. The
+  /// apply journal wins over a stale `current`, as in
+  /// update_device_streaming; a hop it holds in flight is finished from
+  /// a complete `transfer` without a new download, or re-requested.
   /// `transfer` may be null for a throwaway in-call journal.
   OtaReport update_device(FlashDevice& device, const JournalRegion& journal,
                           ReleaseId current, ReleaseId target,
-                          const ChannelModel& channel,
+                          const StreamUpdaterOptions& apply_options = {},
                           TransferJournal* transfer = nullptr);
 
   /// Upgrade a FlashDevice by streaming each hop's artifact straight to
@@ -141,23 +149,13 @@ class OtaClient {
   /// reconnects — so tracing degrades gracefully against old peers.
   Session connect_session();
   void backoff(std::size_t attempt, OtaReport& report);
-  /// Stream one hop into `image`, resuming across faults; returns the
-  /// release the image holds afterwards.
-  ReleaseId stream_hop(Bytes& image, ReleaseId current, ReleaseId target,
-                       OtaReport& report);
-  /// Download one hop's artifact into `journal`, resuming at its
-  /// current offset; returns when the artifact is complete + verified.
-  void download_hop(TransferJournal& journal, ReleaseId current,
-                    ReleaseId target, OtaReport& report);
-  /// Stream one hop straight to flash; `probe` carries reboot-recovery
-  /// state when the apply journal holds an in-flight record. Returns the
-  /// release the device holds afterwards.
-  ReleaseId stream_device_hop(FlashDevice& device,
-                              const JournalRegion& journal,
-                              ReleaseId current, ReleaseId target,
-                              std::optional<StreamApplyProbe> probe,
-                              const StreamUpdaterOptions& apply_options,
-                              OtaReport& report);
+
+  struct HopSink;
+  /// The one hop-transfer loop: GET_DELTA (or RESUME once `sink` has
+  /// begun) for current -> target, feeding every DATA chunk to `sink`,
+  /// retrying with backoff across transport faults until DELTA_END.
+  void transfer_hop(HopSink& sink, ReleaseId current, ReleaseId target,
+                    OtaReport& report);
 
   TransportFactory factory_;
   OtaClientOptions options_;

@@ -482,6 +482,21 @@ struct Reactor::Impl {
     return false;
   }
 
+  /// The peer hung up. An idle connection has dispatched every complete
+  /// frame, so bytes still buffered are a frame cut short: leave the
+  /// evidence before dropping.
+  void hang_up(Conn& c) {
+    if (c.idle()) {
+      try {
+        c.reader.finish();
+      } catch (const FormatError& e) {
+        refuse_stream(c, e, "stream ended mid-frame");
+        return;
+      }
+    }
+    drop(c);
+  }
+
   void dispatch(Conn& c, const Message& message) {
     if (const auto* hello = std::get_if<HelloMsg>(&message)) {
       if (hello->protocol_version != kProtocolVersion &&
@@ -570,7 +585,7 @@ struct Reactor::Impl {
         continue;
       }
       if (n == 0) {
-        drop(c);  // peer said goodbye
+        hang_up(c);  // peer said goodbye
         return false;
       }
       if (errno == EINTR) continue;
@@ -711,7 +726,10 @@ struct Reactor::Impl {
     Conn& c = *it->second;
     const obs::FlightScope flight(c.flight);
     if (ev & (EPOLLHUP | EPOLLERR)) {
-      drop(c);
+      // Read what the peer sent before it went away: an idle connection
+      // drains to EOF, where hang_up sees a frame cut short.
+      if (c.idle() && !read_ready(c)) return;
+      hang_up(c);
       return;
     }
     // EPOLLRDHUP means the peer closed its WRITE side — it may still be

@@ -419,7 +419,7 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
   constexpr JournalRegion kJournal{kImageArea, 16 << 10};
   FlashDevice device(kImageArea + kJournal.size, 512, 96 << 10);
   device.load_image(rig.history[0]);
-  clear_journal(device, kJournal);
+  StreamingDeviceUpdater::clear(device, kJournal);
 
   // A journal from a previous life whose artifact no longer exists
   // anywhere on the server: the resume is answered with kBadResume
@@ -434,7 +434,7 @@ TEST(Session, RefusedResumeRestartsTheDownloadFromScratch) {
   journal.received.assign(1024, 0x7E);
 
   const OtaReport report =
-      client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+      client.update_device(device, kJournal, 0, 1, {}, &journal);
   EXPECT_EQ(report.final_release, 1u);
   EXPECT_EQ(report.resumes, 1u);  // the refused attempt
   EXPECT_GE(report.retries, 1u);  // ... counted as an attempt
@@ -541,11 +541,11 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
   constexpr JournalRegion kJournal{kImageArea, 16 << 10};
   FlashDevice device(kImageArea + kJournal.size, 512, 96 << 10);
   device.load_image(ref);
-  clear_journal(device, kJournal);
+  StreamingDeviceUpdater::clear(device, kJournal);
 
   TransferJournal journal;
   try {
-    client.update_device(device, kJournal, 0, 1, channel_28k(), &journal);
+    client.update_device(device, kJournal, 0, 1, {}, &journal);
     FAIL() << "hostile in-place delta was accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("unsafe delta refused"),
@@ -559,6 +559,63 @@ TEST(Session, HostileInPlaceDeltaIsRefusedBeforeAnyFlashWrite) {
   EXPECT_TRUE(
       test::bytes_equal(ref, ByteView(device.inspect()).first(ref.size())));
   EXPECT_FALSE(journal.active);
+}
+
+TEST(Session, StagedFullImageLongerThanTheImageAreaIsRefused) {
+  // A server streaming a "full image" that reaches past the image area:
+  // the frames and the whole-image CRC check out, but writing it at
+  // offset 0 would overwrite the apply journal that follows the image.
+  // The staged device must refuse it before any flash write.
+  constexpr std::size_t kImageArea = 16 << 10;
+  constexpr JournalRegion kJournal{kImageArea, 16 << 10};
+  const Bytes image = test::random_bytes(0x1A6E, kImageArea + (8 << 10));
+
+  auto [client_end, server_end] = test::socket_pair();
+  std::thread hostile([server = std::move(server_end), image]() mutable {
+    try {
+      FramedConnection conn(*server);
+      (void)conn.receive();  // HELLO
+      conn.send(HelloAckMsg{});
+      (void)conn.receive();  // GET_DELTA
+      DeltaBeginMsg begin;
+      begin.from = 0;
+      begin.to = 1;
+      begin.last_hop = 1;
+      begin.full_image = 1;
+      begin.total_size = image.size();
+      begin.version_length = image.size();
+      begin.artifact_crc = crc32c(image);
+      conn.send(begin);
+      conn.send(DeltaDataMsg{0, image});
+      conn.send(DeltaEndMsg{image.size(), crc32c(image)});
+    } catch (const Error&) {
+      // the client hung up on us — expected
+    }
+    server->close();
+  });
+
+  OtaClientOptions options;
+  options.max_attempts = 1;
+  OtaClient client(
+      [&]() -> std::unique_ptr<Transport> { return std::move(client_end); },
+      options);
+
+  FlashDevice device(kImageArea + kJournal.size, 512, 96 << 10);
+  device.load_image(test::random_bytes(0x1A6F, kImageArea));
+  StreamingDeviceUpdater::clear(device, kJournal);
+  const Bytes before(device.inspect().begin(), device.inspect().end());
+
+  TransferJournal journal;
+  EXPECT_THROW(client.update_device(device, kJournal, 0, 1, {}, &journal),
+               DeviceError);
+  hostile.join();
+  const ByteView after = device.inspect();
+  EXPECT_TRUE(test::bytes_equal(ByteView(before).subspan(kJournal.offset),
+                                after.subspan(kJournal.offset)))
+      << "the journal region was overwritten";
+  EXPECT_TRUE(test::bytes_equal(ByteView(before).first(kImageArea),
+                                after.first(kImageArea)))
+      << "the image was written before the refusal";
 }
 
 TEST(Session, PoisonedPreloadIsRefusedAndCleanUpgradeStillServes) {

@@ -499,6 +499,39 @@ TEST(Reactor, CorruptInputAndRefusedResumesLeaveFlightDumps) {
   obs::clear_flight_dumps();
 }
 
+TEST(Reactor, PeerHangingUpMidFrameLeavesAFlightDump) {
+  LocalRig rig(small_history());
+  obs::clear_flight_dumps();
+  const obs::TraceContext ctx = obs::mint_trace();
+  {
+    const std::unique_ptr<Transport> t = rig.connect();
+    FramedConnection conn(*t);
+    conn.set_outbound_trace(ctx);
+    conn.send(HelloMsg{kProtocolVersionTraced, 4096});
+    const std::optional<Message> ack = conn.receive();
+    ASSERT_TRUE(ack && std::holds_alternative<HelloAckMsg>(*ack));
+    // Half a GET_DELTA frame, then the peer closes the way campaign
+    // devices hang up (TcpTransport::close, SHUT_RDWR): the reactor must
+    // still read the buffered half frame, dump, and drop.
+    const Bytes wire = encode_message(GetDeltaMsg{0, 1}, &ctx);
+    t->write_all(ByteView(wire).first(wire.size() / 2));
+    t->close();
+  }
+  std::optional<obs::FlightDump> cut;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!(cut = dump_for("stream ended mid-frame")) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(cut.has_value()) << "a mid-frame hang-up left no flight record";
+  EXPECT_EQ(cut->label, "server:local");
+  EXPECT_EQ(cut->trace_id, ctx.trace_id_hex());
+  EXPECT_NE(cut->text.find("truncated mid-frame"), std::string::npos)
+      << cut->text;
+  obs::clear_flight_dumps();
+}
+
 TEST(Reactor, MessageFuzzCorpusLeavesTheLoopServing) {
   LocalRig rig(small_history());
   std::vector<std::filesystem::path> inputs;

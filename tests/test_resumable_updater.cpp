@@ -1,10 +1,17 @@
-#include "device/resumable_updater.hpp"
+// The staged resumable update: a fully buffered artifact applied through
+// apply_staged (device/stream_updater.hpp), i.e. StreamingDeviceUpdater
+// fed from device RAM. Cut power anywhere, call again with the same
+// arguments, and the image must come out byte-exact — for plain and
+// LZSS containers alike. The engine's own kill -9 matrix over streamed
+// input lives in test_stream_updater.
+#include "device/stream_updater.hpp"
 
 #include <gtest/gtest.h>
 
 #include "corpus/generator.hpp"
 #include "corpus/mutation.hpp"
 #include "device/channel.hpp"
+#include "device/updater.hpp"
 #include "ipdelta.hpp"
 #include "test_util.hpp"
 
@@ -22,7 +29,7 @@ struct Fixture {
   Bytes delta;
 };
 
-Fixture make_fixture(std::uint64_t seed = 31) {
+Fixture make_fixture(std::uint64_t seed = 31, bool compress = false) {
   Fixture f;
   Rng rng(seed);
   f.v1 = generate_file(rng, 48 << 10, FileProfile::kBinary);
@@ -30,15 +37,33 @@ Fixture make_fixture(std::uint64_t seed = 31) {
   // Guarantee self-overlapping copies: shift a large region forward.
   std::copy(f.v2.begin() + 1000, f.v2.begin() + 30000, f.v2.begin() + 1500);
   f.v2 = mutate(f.v2, rng, 10);
-  f.delta = Pipeline().build_inplace(f.v1, f.v2).delta;
+  if (compress) {
+    // New text the reference lacks: shipped as adds, which LZSS shrinks
+    // (the serializer drops the flag when compression would not help).
+    const Bytes text = generate_file(rng, 8 << 10, FileProfile::kText);
+    std::copy(text.begin(), text.end(), f.v2.begin() + 36000);
+  }
+  f.delta = Pipeline({.compress_payload = compress})
+                .build_inplace(f.v1, f.v2)
+                .delta;
+  return f;
+}
+
+/// An LZSS-compressed fixture.
+Fixture make_lzss_fixture() {
+  Fixture f = make_fixture(31, /*compress=*/true);
+  EXPECT_TRUE(deserialize_delta(f.delta).compress_payload);
   return f;
 }
 
 FlashDevice make_device(const Fixture& f) {
   FlashDevice dev(kStorage, 512, (96 << 10));
   dev.load_image(f.v1);
-  clear_journal(dev, kJournal);
   return dev;
+}
+
+StagedApplyResult apply(FlashDevice& dev, const Fixture& f) {
+  return apply_staged(dev, kJournal, f.delta, StreamArtifactInfo{});
 }
 
 void expect_updated(const FlashDevice& dev, const Fixture& f) {
@@ -46,63 +71,65 @@ void expect_updated(const FlashDevice& dev, const Fixture& f) {
       f.v2, ByteView(dev.inspect()).first(f.v2.size())));
 }
 
+/// apply_staged cut at `cut` bytes written, then "rebooted" and called
+/// again with the same arguments; the image must come out byte-exact.
+void run_cut(const Fixture& f, std::uint64_t cut, bool expect_resume) {
+  SCOPED_TRACE("cut at " + std::to_string(cut) + " bytes written");
+  FlashDevice dev = make_device(f);
+  dev.inject_power_failure_after(cut);
+  // Every caller cuts below a clean run's total writes: the cut fires.
+  ASSERT_THROW(apply(dev, f), FlashDevice::PowerFailure);
+  dev.clear_power_failure();
+  const StagedApplyResult r = apply(dev, f);
+  if (expect_resume) {
+    EXPECT_TRUE(r.resumed);
+    EXPECT_GT(r.resumed_at, 0u);
+  }
+  expect_updated(dev, f);
+}
+
 TEST(ResumableUpdater, CleanRunMatchesPlainUpdater) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f);
-  const ResumableUpdateResult r =
-      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
+  const StagedApplyResult r = apply(dev, f);
   EXPECT_FALSE(r.resumed);
-  EXPECT_TRUE(r.update.crc_verified);
-  EXPECT_GT(r.journal_records, 0u);
+  EXPECT_GT(r.journal_records, 2u);
   expect_updated(dev, f);
+
+  FlashDevice plain = make_device(f);
+  apply_update(plain, f.delta, channel_28k());
+  EXPECT_TRUE(test::bytes_equal(ByteView(plain.inspect()).first(kImageArea),
+                                ByteView(dev.inspect()).first(kImageArea)));
 }
 
 TEST(ResumableUpdater, SecondRunAfterCompletionIsIdempotent) {
-  const Fixture f = make_fixture();
-  FlashDevice dev = make_device(f);
-  apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-  const ResumableUpdateResult again =
-      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-  EXPECT_TRUE(again.resumed);
-  EXPECT_TRUE(again.update.crc_verified);
-  expect_updated(dev, f);
+  for (const Fixture& f : {make_fixture(), make_lzss_fixture()}) {
+    FlashDevice dev = make_device(f);
+    apply(dev, f);
+    expect_updated(dev, f);
+    const std::uint64_t written = dev.bytes_written();
+    const StagedApplyResult again = apply(dev, f);
+    EXPECT_TRUE(again.resumed);
+    EXPECT_EQ(again.journal_records, 0u);
+    EXPECT_EQ(dev.bytes_written(), written) << "a done artifact re-applied";
+    expect_updated(dev, f);
+  }
 }
 
-// The headline property: crash at EVERY byte-offset granularity bucket,
-// resume, and always end with a byte-perfect v2.
+// The headline property, on a plain and an LZSS container: 24 cuts spread
+// over a clean run's writes, each resumed to a byte-perfect v2.
 TEST(ResumableUpdater, SurvivesPowerFailureAtManyPoints) {
-  const Fixture f = make_fixture();
-
-  // Measure an uninterrupted run to size the injection sweep.
-  FlashDevice probe = make_device(f);
-  const ResumableUpdateResult clean =
-      apply_update_resumable(probe, f.delta, channel_28k(), kJournal);
-  const std::uint64_t total_writes = probe.bytes_written();
-  ASSERT_GT(total_writes, 0u);
-  (void)clean;
-
-  for (int i = 1; i <= 24; ++i) {
-    const std::uint64_t crash_at = total_writes * i / 25;
-    FlashDevice dev = make_device(f);
-    dev.inject_power_failure_after(crash_at);
-    bool crashed = false;
-    try {
-      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-    } catch (const FlashDevice::PowerFailure&) {
-      crashed = true;
+  for (const Fixture& f : {make_fixture(), make_lzss_fixture()}) {
+    std::uint64_t total_writes = 0;
+    {
+      FlashDevice dev = make_device(f);
+      apply(dev, f);
+      total_writes = dev.bytes_written();
     }
-    if (!crashed) {
-      // Injection landed after the last write; the run completed.
-      expect_updated(dev, f);
-      continue;
+    ASSERT_GT(total_writes, 0u);
+    for (int i = 1; i <= 24; ++i) {
+      run_cut(f, total_writes * i / 25, /*expect_resume=*/true);
     }
-    // "Reboot" and resume.
-    dev.clear_power_failure();
-    const ResumableUpdateResult r =
-        apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-    EXPECT_TRUE(r.resumed) << "crash point " << crash_at;
-    EXPECT_TRUE(r.update.crc_verified) << "crash point " << crash_at;
-    expect_updated(dev, f);
   }
 }
 
@@ -115,9 +142,7 @@ TEST(ResumableUpdater, SurvivesRepeatedCrashesInOneUpdate) {
   for (;;) {
     dev.inject_power_failure_after(20 << 10);
     try {
-      const ResumableUpdateResult r =
-          apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-      EXPECT_TRUE(r.update.crc_verified);
+      apply(dev, f);
       break;
     } catch (const FlashDevice::PowerFailure&) {
       ++crashes;
@@ -132,31 +157,40 @@ TEST(ResumableUpdater, SurvivesRepeatedCrashesInOneUpdate) {
 TEST(ResumableUpdater, JournalRegionValidation) {
   const Fixture f = make_fixture();
   FlashDevice dev = make_device(f);
-  // Overlapping the image area.
-  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(),
-                                      JournalRegion{0, kJournalSize}),
+  // Overlapping the image area: refused before any flash write.
+  EXPECT_THROW(apply_staged(dev, JournalRegion{0, kJournalSize}, f.delta,
+                            StreamArtifactInfo{}),
                DeviceError);
+  EXPECT_EQ(dev.bytes_written(), 0u);
   // Past the end of storage.
-  EXPECT_THROW(
-      apply_update_resumable(dev, f.delta, channel_28k(),
-                             JournalRegion{kStorage - 16, kJournalSize}),
-      DeviceError);
-  // Too small for two slots.
-  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(),
-                                      JournalRegion{kImageArea, 64}),
+  EXPECT_THROW(apply_staged(dev, JournalRegion{kStorage - 16, kJournalSize},
+                            f.delta, StreamArtifactInfo{}),
                DeviceError);
+  // Too small for two slots.
+  EXPECT_THROW(apply_staged(dev, JournalRegion{kImageArea, 64}, f.delta,
+                            StreamArtifactInfo{}),
+               DeviceError);
+  // A full image reaching into the journal region: refused before its
+  // first byte lands.
+  StreamArtifactInfo image;
+  image.full_image = true;
+  EXPECT_THROW(apply_staged(dev, kJournal,
+                            test::random_bytes(5, kImageArea + 512), image),
+               DeviceError);
+  EXPECT_EQ(dev.bytes_written(), 0u);
 }
 
 TEST(ResumableUpdater, RejectsNonInplaceDelta) {
   const Fixture f = make_fixture();
-  const Bytes plain = Pipeline({.format = kPaperExplicit}).build_delta(f.v1, f.v2).delta;
+  const Bytes plain =
+      Pipeline({.format = kPaperExplicit}).build_delta(f.v1, f.v2).delta;
   if (deserialize_delta(plain).in_place) {
     GTEST_SKIP() << "delta happened to be conflict-free";
   }
   FlashDevice dev = make_device(f);
-  EXPECT_THROW(
-      apply_update_resumable(dev, plain, channel_28k(), kJournal),
-      ValidationError);
+  EXPECT_THROW(apply_staged(dev, kJournal, plain, StreamArtifactInfo{}),
+               ValidationError);
+  EXPECT_EQ(dev.bytes_written(), 0u);
 }
 
 TEST(ResumableUpdater, StaleJournalFromOtherDeltaIsIgnored) {
@@ -166,44 +200,71 @@ TEST(ResumableUpdater, StaleJournalFromOtherDeltaIsIgnored) {
 
   // Crash mid-way through updating with f's delta...
   dev.inject_power_failure_after(10 << 10);
-  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
-               FlashDevice::PowerFailure);
+  EXPECT_THROW(apply(dev, f), FlashDevice::PowerFailure);
   dev.clear_power_failure();
 
-  // ...then try the OTHER delta: its checksum does not match the journal,
-  // so no resume happens (and the update fails CRC because the image is
-  // half-written — exactly the protection we want).
-  bool resumed = true;
-  try {
-    const ResumableUpdateResult r =
-        apply_update_resumable(dev, other.delta, channel_28k(), kJournal);
-    resumed = r.resumed;
-  } catch (const Error&) {
-    resumed = false;  // CRC failure is acceptable here
-  }
-  EXPECT_FALSE(resumed);
-}
-
-TEST(ResumableUpdater, PowerFailureDuringJournalWriteIsRecoverable) {
-  const Fixture f = make_fixture();
-
-  // Find the byte offset of the first journal write by instrumenting a
-  // clean run: journal writes target the journal region.
-  FlashDevice dev = make_device(f);
-  // Crash after very few bytes — almost certainly inside the first
-  // journal record or first command.
-  dev.inject_power_failure_after(16);
-  EXPECT_THROW(apply_update_resumable(dev, f.delta, channel_28k(), kJournal),
-               FlashDevice::PowerFailure);
-  dev.clear_power_failure();
-  const ResumableUpdateResult r =
-      apply_update_resumable(dev, f.delta, channel_28k(), kJournal);
-  EXPECT_TRUE(r.update.crc_verified);
+  // ...then try the OTHER delta: the journal names f's artifact, whose
+  // image is half rebuilt, so the other one is refused before any flash
+  // write instead of resuming from f's progress.
+  const std::uint64_t before = dev.bytes_written();
+  EXPECT_THROW(apply(dev, other), DeviceError);
+  EXPECT_EQ(dev.bytes_written(), before);
+  // f's own artifact still finishes the job.
+  EXPECT_TRUE(apply(dev, f).resumed);
   expect_updated(dev, f);
 }
 
+TEST(ResumableUpdater, PowerFailureDuringJournalWriteIsRecoverable) {
+  // A cut 16 bytes in lands inside the very first journal record.
+  for (const Fixture& f : {make_fixture(), make_lzss_fixture()}) {
+    run_cut(f, 16, /*expect_resume=*/false);
+  }
+}
+
+TEST(ResumableUpdater, ArtifactMustFitDeviceRam) {
+  for (const Fixture& f : {make_fixture(), make_lzss_fixture()}) {
+    FlashDevice dev(kStorage, 512, f.delta.size() / 2);
+    dev.load_image(f.v1);
+    EXPECT_THROW(apply(dev, f), DeviceError);
+    EXPECT_EQ(dev.bytes_written(), 0u) << "flash written before the RAM check";
+  }
+}
+
+TEST(ResumableUpdater, LzssArtifactIsChargedAtItsReceivedSize) {
+  // The device RAM holds the artifact as received; the uncompressed form
+  // the engine reads from an LZSS container is host-side. So the RAM a
+  // run needs beyond the artifact (copy window, journal scratch) is the
+  // same for a plain and an LZSS container, and a device with exactly
+  // the measured peak updates.
+  const auto peak_of = [](const Fixture& f) {
+    FlashDevice dev = make_device(f);
+    apply(dev, f);
+    return dev.ram().high_water();
+  };
+  const Fixture plain = make_fixture();
+  const Fixture lzss = make_lzss_fixture();
+  const std::size_t peak = peak_of(lzss);
+  EXPECT_EQ(peak - lzss.delta.size(), peak_of(plain) - plain.delta.size())
+      << "the LZSS artifact was charged at more than its received size";
+  FlashDevice tight(kStorage, 512, peak);
+  tight.load_image(lzss.v1);
+  apply(tight, lzss);
+  expect_updated(tight, lzss);
+}
+
+TEST(ResumableUpdater, TruncatedArtifactIsRefused) {
+  // Ten bytes of a valid container: not even its header. The apply must
+  // refuse, not wait for bytes that will never come.
+  const Fixture f = make_fixture();
+  FlashDevice dev = make_device(f);
+  EXPECT_THROW(apply_staged(dev, kJournal, ByteView(f.delta).first(10),
+                            StreamArtifactInfo{}),
+               FormatError);
+  EXPECT_EQ(dev.bytes_written(), 0u);
+}
+
 TEST(ResumableUpdater, FixtureActuallyExercisesSelfOverlap) {
-  // Guard the fixture: the crash sweep above is only meaningful if the
+  // Guard the fixture: the crash sweeps above are only meaningful if the
   // delta contains self-overlapping copies (the non-idempotent case).
   const Fixture f = make_fixture();
   const DeltaFile file = deserialize_delta(f.delta);

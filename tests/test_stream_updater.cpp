@@ -1,7 +1,9 @@
 // kill -9 matrix for the journaled streaming apply: cut power at every
 // journal-record and command boundary (and mid-record offsets), reboot,
 // resume via the journal, and require byte-identical recovery — the
-// acceptance property for the power-loss-safe device path.
+// acceptance property for the power-loss-safe device path. The staged
+// entry point (apply_staged: a buffered artifact, LZSS containers
+// included) has its own cut sweeps in test_resumable_updater.
 #include "device/stream_updater.hpp"
 
 #include <gtest/gtest.h>
@@ -418,6 +420,31 @@ TEST(StreamUpdater, ClearForgetsTheJournal) {
   StreamingDeviceUpdater::clear(dev, kJournal, tight_options());
   EXPECT_FALSE(
       StreamingDeviceUpdater::probe(dev, kJournal, tight_options()));
+}
+
+TEST(StreamUpdater, StaleJournalFromOtherDeltaIsIgnored) {
+  const Fixture f = make_fixture(31);
+  const Fixture other = make_fixture(77);
+  FlashDevice dev = make_device(f.v1);
+  // Crash mid-way through f's delta...
+  dev.inject_power_failure_after(10 << 10);
+  {
+    StreamingDeviceUpdater u(dev, kJournal, f.info, tight_options());
+    EXPECT_THROW(feed_rest(u, f.delta), FlashDevice::PowerFailure);
+  }
+  dev.clear_power_failure();
+  // ...then the OTHER delta: its identity matches no record, so the
+  // engine does not resume from f's progress.
+  {
+    StreamingDeviceUpdater u(dev, kJournal, other.info, tight_options());
+    EXPECT_FALSE(u.resumed());
+  }
+  // f's own identity still resumes and finishes the job.
+  StreamingDeviceUpdater u(dev, kJournal, f.info, tight_options());
+  EXPECT_TRUE(u.resumed());
+  feed_rest(u, f.delta);
+  EXPECT_TRUE(u.finished());
+  expect_image(dev, f.v2);
 }
 
 }  // namespace
