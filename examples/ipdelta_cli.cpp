@@ -81,7 +81,6 @@ int usage() {
       "                                            # runs until stdin closes\n"
       "                [--trace-out FILE]  # per-request tracing on; write\n"
       "                                    # Chrome trace JSON at shutdown\n"
-      "                [--stall-ms MS]     # watchdog deadline per transfer\n"
       "  ipdelta serve --store-dir DIR [more release files...]\n"
       "                # serve a durable on-disk store (files, if any,\n"
       "                # are published first); stored chain deltas are\n"
@@ -93,7 +92,6 @@ int usage() {
       "  ipdelta store check <dir>        # deep integrity check\n"
       "  ipdelta fetch <host:port> <image file> --to B\n"
       "                [--from A] [--out FILE] [--chunk BYTES] [--verbose]\n"
-      "                [--stall-ms MS]     # watchdog deadline per transfer\n"
       "  ipdelta fetch <host:port> --metrics\n"
       "  ipdelta stats <host:port>        # Prometheus-style live stats\n"
       "  ipdelta campaign [--devices N] [--releases N] [--seed S]\n"
@@ -450,7 +448,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::uint64_t port = 0;
   bool port_set = false;
   std::uint64_t sessions = 32;
-  std::uint64_t stall_ms = 0;
   std::string store_dir;
   std::string trace_out;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -486,8 +483,6 @@ int cmd_serve(const std::vector<std::string>& args) {
       if (port > 65535) throw Error("--port out of range");
     } else if (a == "--sessions") {
       sessions = number();
-    } else if (a == "--stall-ms") {
-      stall_ms = number();
     } else if (a == "--trace-out") {
       trace_out = next();
     } else if (!a.empty() && a[0] == '-') {
@@ -543,7 +538,6 @@ int cmd_serve(const std::vector<std::string>& args) {
     ServerConfig net;
     net.port = static_cast<std::uint16_t>(port);
     net.max_connections = static_cast<std::size_t>(sessions);
-    net.stall_deadline_ms = stall_ms;
     DeltaServer server(service, net);
     server.start();
     std::printf("serving %zu releases on 127.0.0.1:%u "
@@ -732,7 +726,6 @@ int cmd_fetch(const std::vector<std::string>& args) {
   bool verbose = false;
   std::string out;
   std::uint64_t chunk = 64u << 10;
-  std::uint64_t stall_ms = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     const auto next = [&]() -> const std::string& {
@@ -759,8 +752,6 @@ int cmd_fetch(const std::vector<std::string>& args) {
       out = next();
     } else if (a == "--chunk") {
       chunk = number();
-    } else if (a == "--stall-ms") {
-      stall_ms = number();
     } else if (a == "--metrics") {
       metrics = true;
     } else if (a == "--verbose") {
@@ -780,7 +771,6 @@ int cmd_fetch(const std::vector<std::string>& args) {
 
   OtaClientOptions client_options;
   client_options.max_chunk = static_cast<std::uint32_t>(chunk);
-  client_options.stall_deadline_ms = stall_ms;
   OtaClient client(
       [host, port] { return TcpTransport::connect(host, port); },
       client_options);
@@ -803,8 +793,9 @@ int cmd_fetch(const std::vector<std::string>& args) {
               report.retries, report.retries == 1 ? "y" : "ies",
               dest.c_str(), image.size());
   if (verbose) {
-    std::printf("  session: %zu retries, %zu resumes, %.1f ms in backoff\n",
-                report.retries, report.resumes,
+    std::printf("  session: %zu retries (%zu read timeouts), %zu resumes, "
+                "%.1f ms in backoff\n",
+                report.retries, report.timeouts, report.resumes,
                 static_cast<double>(report.backoff_ns) / 1e6);
     const std::string events = obs::global_events().dump();
     if (!events.empty()) {

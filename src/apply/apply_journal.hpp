@@ -68,8 +68,9 @@ struct ApplyJournalOptions {
   /// Largest undo (pre-image) payload a record may carry; typically the
   /// updater's copy window size.
   std::size_t undo_capacity = 4096;
-  /// Largest raw container header a record may carry (0 when the
-  /// consumer re-stages the artifact and never needs it back).
+  /// Largest raw container header a record may carry: the journaled
+  /// engine re-parses the header from the record on resume, so the
+  /// artifact's first bytes need not be fetched again.
   std::size_t header_capacity = 256;
 };
 

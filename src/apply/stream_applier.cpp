@@ -7,9 +7,8 @@
 
 namespace ipd {
 
-StreamingInplaceApplier::StreamingInplaceApplier(
-    MutByteView buffer, const StreamApplyOptions& options)
-    : buffer_(buffer), options_(options) {}
+StreamingInplaceApplier::StreamingInplaceApplier(MutByteView buffer)
+    : buffer_(buffer) {}
 
 StreamingInplaceApplier::~StreamingInplaceApplier() = default;
 
@@ -54,7 +53,7 @@ void StreamingInplaceApplier::try_parse_header_bytes() {
         "streaming applier: compressed payloads cannot be applied "
         "incrementally; use the batch path or ship uncompressed");
   }
-  if (options_.require_inplace_flag && !header_->in_place) {
+  if (!header_->in_place) {
     throw ValidationError(
         "streaming applier: delta is not marked in-place reconstructible");
   }
@@ -108,14 +107,12 @@ void StreamingInplaceApplier::apply_command(const Command& cmd) {
     if (copy->from + copy->length > header_->reference_length) {
       throw ValidationError("streaming applier: copy reads past reference");
     }
-    if (options_.check_conflicts) {
-      const Interval read = copy->read_interval();
-      auto it = written_.upper_bound(read.last);
-      if (it != written_.begin() && std::prev(it)->second >= read.first) {
-        throw ConflictError(
-            "streaming applier: write-before-read conflict at command " +
-            std::to_string(command_index_));
-      }
+    const Interval read = copy->read_interval();
+    auto it = written_.upper_bound(read.last);
+    if (it != written_.begin() && std::prev(it)->second >= read.first) {
+      throw ConflictError(
+          "streaming applier: write-before-read conflict at command " +
+          std::to_string(command_index_));
     }
     overlapping_copy(buffer_, copy->from, copy->to, copy->length);
   } else {
@@ -123,9 +120,7 @@ void StreamingInplaceApplier::apply_command(const Command& cmd) {
     std::copy(add.data.begin(), add.data.end(),
               buffer_.begin() + static_cast<std::ptrdiff_t>(add.to));
   }
-  if (options_.check_conflicts) {
-    written_[w.first] = w.last;
-  }
+  written_[w.first] = w.last;
   ++command_index_;
 }
 
@@ -144,12 +139,11 @@ void StreamingInplaceApplier::finish() {
 }
 
 length_t apply_delta_inplace_streaming(ByteView delta, MutByteView buffer,
-                                       std::size_t chunk_size,
-                                       const StreamApplyOptions& options) {
+                                       std::size_t chunk_size) {
   if (chunk_size == 0) {
     throw ValidationError("streaming apply: chunk_size must be >= 1");
   }
-  StreamingInplaceApplier applier(buffer, options);
+  StreamingInplaceApplier applier(buffer);
   std::size_t pos = 0;
   while (pos < delta.size()) {
     const std::size_t n = std::min(chunk_size, delta.size() - pos);

@@ -11,7 +11,9 @@
 // (device/stream_updater.hpp) when that matters.
 //
 // In-place safety of the *order* is unchanged: the delta must carry the
-// in_place flag, and per-command conflict checking is available.
+// in_place flag, and every copy is checked against the intervals
+// already written, so a write-before-read conflict throws ConflictError
+// instead of silently corrupting the image.
 #pragma once
 
 #include <map>
@@ -21,21 +23,12 @@
 
 namespace ipd {
 
-struct StreamApplyOptions {
-  /// Track written intervals and throw ConflictError on a write-before-
-  /// read violation instead of silently corrupting (small extra memory).
-  bool check_conflicts = true;
-  /// Require the delta's in_place flag (disable only in tests).
-  bool require_inplace_flag = true;
-};
-
 class StreamingInplaceApplier {
  public:
   /// `buffer` holds the reference now and the version when finished; it
   /// must be at least max(reference, version) bytes — checked as soon as
   /// the header arrives.
-  StreamingInplaceApplier(MutByteView buffer,
-                          const StreamApplyOptions& options = {});
+  explicit StreamingInplaceApplier(MutByteView buffer);
   ~StreamingInplaceApplier();
 
   StreamingInplaceApplier(const StreamingInplaceApplier&) = delete;
@@ -70,7 +63,6 @@ class StreamingInplaceApplier {
   void finish();
 
   MutByteView buffer_;
-  StreamApplyOptions options_;
 
   Bytes head_pending_;  // bytes accumulated before the header parsed
   std::optional<DeltaHeader> header_;
@@ -91,7 +83,6 @@ class StreamingInplaceApplier {
 /// Convenience: apply `delta` by feeding it in `chunk_size` pieces.
 /// Returns the version length. Used by tests and the device updater.
 length_t apply_delta_inplace_streaming(ByteView delta, MutByteView buffer,
-                                       std::size_t chunk_size,
-                                       const StreamApplyOptions& options = {});
+                                       std::size_t chunk_size);
 
 }  // namespace ipd

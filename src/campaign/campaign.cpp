@@ -44,6 +44,7 @@ struct FleetState {
   std::atomic<std::size_t> bricked{0};
   std::atomic<std::size_t> staged_devices{0};
   std::atomic<std::size_t> retries{0};
+  std::atomic<std::size_t> timeouts{0};
   std::atomic<std::size_t> resumes{0};
   std::atomic<std::size_t> reboots{0};
   std::atomic<std::size_t> restarts{0};
@@ -134,6 +135,7 @@ bool run_device(FleetState& fleet, std::size_t index) {
                  : client.update_device_streaming(device, journal, start,
                                                   fleet.target, o.apply);
       fleet.retries.fetch_add(r.retries, std::memory_order_relaxed);
+      fleet.timeouts.fetch_add(r.timeouts, std::memory_order_relaxed);
       fleet.resumes.fetch_add(r.resumes, std::memory_order_relaxed);
       fleet.hops.fetch_add(r.hops, std::memory_order_relaxed);
       fleet.bytes_received.fetch_add(r.bytes_received,
@@ -233,7 +235,8 @@ std::string CampaignReport::render() const {
   out << "\n  updated " << updated << "  failed " << failed << "  bricked "
       << bricked << "  skipped " << skipped;
   out << "\n  staged " << staged_devices << "  hops " << hops << "  retries "
-      << retries << "  resumes " << resumes << "  reboots " << reboots
+      << retries << "  timeouts " << timeouts << "  resumes " << resumes
+      << "  reboots " << reboots
       << "  restarts " << restarts << "  link faults " << link_faults;
   out << "\n  received " << format_bytes(bytes_received) << "  wall "
       << wall_seconds << " s";
@@ -258,7 +261,8 @@ std::string CampaignReport::json() const {
       << ",\"bricked\":" << bricked << ",\"skipped\":" << skipped
       << ",\"aborted\":" << (aborted ? "true" : "false")
       << ",\"staged_devices\":" << staged_devices << ",\"hops\":" << hops
-      << ",\"retries\":" << retries << ",\"resumes\":" << resumes
+      << ",\"retries\":" << retries << ",\"timeouts\":" << timeouts
+      << ",\"resumes\":" << resumes
       << ",\"reboots\":" << reboots << ",\"restarts\":" << restarts
       << ",\"link_faults\":" << link_faults
       << ",\"bytes_received\":" << bytes_received << ",\"wall_seconds\":"
@@ -366,6 +370,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   report.bricked = fleet.bricked.load();
   report.staged_devices = fleet.staged_devices.load();
   report.retries = fleet.retries.load();
+  report.timeouts = fleet.timeouts.load();
   report.resumes = fleet.resumes.load();
   report.reboots = fleet.reboots.load();
   report.restarts = fleet.restarts.load();

@@ -107,6 +107,7 @@ struct CampaignReport {
   // Device-side effort totals across the fleet.
   std::size_t staged_devices = 0;
   std::size_t retries = 0;       ///< client reconnects after link faults
+  std::size_t timeouts = 0;      ///< attempts ended by the read timeout
   std::size_t resumes = 0;       ///< byte-exact RESUME requests issued
   std::size_t reboots = 0;       ///< power-cut recoveries (cuts that fired)
   std::size_t restarts = 0;      ///< client restarts after hard errors

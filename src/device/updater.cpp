@@ -96,22 +96,21 @@ UpdateResult apply_update(FlashDevice& device, ByteView delta,
   result.storage_bytes_written = device.bytes_written() - bytes_before;
   result.storage_pages_written = device.pages_touched_write() - pages_before;
 
-  if (options.verify_crc) {
-    Crc32c crc;
-    length_t done = 0;
-    while (done < file.version_length) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<length_t>(window.size(), file.version_length - done));
-      const MutByteView chunk = window.view().first(n);
-      device.read(done, chunk);
-      crc.update(chunk);
-      done += n;
-    }
-    if (crc.value() != file.version_crc) {
-      throw FormatError("updater: version CRC mismatch after in-place "
-                        "reconstruction");
-    }
-    result.crc_verified = true;
+  // Verify the reconstruction against the delta's version CRC by
+  // streaming storage back through the window.
+  Crc32c crc;
+  length_t done = 0;
+  while (done < file.version_length) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<length_t>(window.size(), file.version_length - done));
+    const MutByteView chunk = window.view().first(n);
+    device.read(done, chunk);
+    crc.update(chunk);
+    done += n;
+  }
+  if (crc.value() != file.version_crc) {
+    throw FormatError("updater: version CRC mismatch after in-place "
+                      "reconstruction");
   }
 
   result.ram_high_water = device.ram().high_water();

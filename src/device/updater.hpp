@@ -23,9 +23,6 @@ namespace ipd {
 struct UpdaterOptions {
   /// Size of the bounded copy window (device working buffer).
   std::size_t window_bytes = 4096;
-  /// Verify the reconstruction against the delta's version CRC by
-  /// streaming storage back through the window.
-  bool verify_crc = true;
 };
 
 struct UpdateResult {
@@ -35,14 +32,14 @@ struct UpdateResult {
   std::size_t ram_high_water = 0;    ///< peak device RAM during update
   std::uint64_t storage_bytes_written = 0;
   std::uint64_t storage_pages_written = 0;
-  bool crc_verified = false;
 };
 
 /// Deliver `delta` (a serialized in-place delta file) over `channel` and
 /// apply it to `device` storage in place. The device's current image must
 /// be the delta's reference version. Throws:
 ///  * DeviceError  — RAM budget exceeded or storage bounds violated;
-///  * Validation/FormatError — malformed delta, wrong flags, CRC mismatch.
+///  * Validation/FormatError — malformed delta, wrong flags, or a
+///    reconstruction that fails the delta's version CRC (always checked).
 UpdateResult apply_update(FlashDevice& device, ByteView delta,
                           const ChannelModel& channel,
                           const UpdaterOptions& options = {});

@@ -11,23 +11,11 @@ namespace {
 
 constexpr std::uint8_t kMagic[4] = {'I', 'P', 'D', 'F'};
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
 std::uint32_t get_u32(const std::uint8_t* p) noexcept {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) noexcept {
@@ -38,16 +26,6 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept {
 /// Trace extension body length for ext_version 1 (after the ext_len
 /// byte): version + 16B trace id + 8B span + 8B parent + 1B flags.
 constexpr std::size_t kTraceExtBody = kTraceExtSize - 1;
-
-void append_trace_ext(Bytes& out, const obs::TraceContext& trace) {
-  out.push_back(static_cast<std::uint8_t>(kTraceExtBody));
-  out.push_back(1);  // ext_version
-  put_u64(out, trace.trace_hi);
-  put_u64(out, trace.trace_lo);
-  put_u64(out, trace.span_id);
-  put_u64(out, trace.parent_span_id);
-  out.push_back(trace.sampled ? 1 : 0);
-}
 
 bool valid_type(std::uint8_t t) noexcept {
   return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
@@ -74,24 +52,49 @@ const char* frame_type_name(FrameType type) noexcept {
   return "?";
 }
 
-Bytes encode_frame(FrameType type, ByteView payload,
-                   const obs::TraceContext* trace) {
+void put_u32(Bytes& out, std::uint32_t v) {
+  out.push_back(static_cast<std::uint8_t>(v));
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  out.push_back(static_cast<std::uint8_t>(v >> 16));
+  out.push_back(static_cast<std::uint8_t>(v >> 24));
+}
+
+void put_u64(Bytes& out, std::uint64_t v) {
+  put_u32(out, static_cast<std::uint32_t>(v));
+  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+void append_frame_header(Bytes& out, FrameType type, std::size_t payload_size,
+                         const obs::TraceContext* trace) {
   const bool traced = trace != nullptr && trace->valid();
   const std::size_t ext = traced ? kTraceExtSize : 0;
-  if (payload.size() > kMaxFramePayload - ext) {
+  if (payload_size > kMaxFramePayload - ext) {
     throw ValidationError("frame payload too large: " +
-                          std::to_string(payload.size()) + " > " +
+                          std::to_string(payload_size) + " > " +
                           std::to_string(kMaxFramePayload));
   }
-  Bytes out;
-  out.reserve(kFrameHeaderSize + ext + payload.size() + kFrameTrailerSize);
   out.insert(out.end(), kMagic, kMagic + 4);
   out.push_back(kFrameVersion);
   out.push_back(static_cast<std::uint8_t>(type));
   out.push_back(traced ? kFrameFlagTrace : 0);
   out.push_back(0);
-  put_u32(out, static_cast<std::uint32_t>(ext + payload.size()));
-  if (traced) append_trace_ext(out, *trace);
+  put_u32(out, static_cast<std::uint32_t>(ext + payload_size));
+  if (!traced) return;
+  out.push_back(static_cast<std::uint8_t>(kTraceExtBody));
+  out.push_back(1);  // ext_version
+  put_u64(out, trace->trace_hi);
+  put_u64(out, trace->trace_lo);
+  put_u64(out, trace->span_id);
+  put_u64(out, trace->parent_span_id);
+  out.push_back(trace->sampled ? 1 : 0);
+}
+
+Bytes encode_frame(FrameType type, ByteView payload,
+                   const obs::TraceContext* trace) {
+  Bytes out;
+  out.reserve(kFrameHeaderSize + kTraceExtSize + payload.size() +
+              kFrameTrailerSize);
+  append_frame_header(out, type, payload.size(), trace);
   out.insert(out.end(), payload.begin(), payload.end());
   put_u32(out, crc32c(out));
   return out;

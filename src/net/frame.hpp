@@ -85,6 +85,20 @@ struct Frame {
   std::optional<obs::TraceContext> trace;
 };
 
+/// Little-endian field writers shared by the frame and message encoders.
+void put_u32(Bytes& out, std::uint32_t v);
+void put_u64(Bytes& out, std::uint64_t v);
+
+/// Append a frame header for a payload of `payload_size` bytes, then the
+/// trace-context extension when `trace` is valid (counted in the length
+/// field, not in `payload_size`). The caller appends the payload and the
+/// CRC-32C trailer over everything before it. encode_frame and the
+/// reactor's zero-copy DELTA_DATA path both start frames here. Throws
+/// ValidationError if the payload (plus extension) exceeds
+/// kMaxFramePayload.
+void append_frame_header(Bytes& out, FrameType type, std::size_t payload_size,
+                         const obs::TraceContext* trace);
+
 /// Serialize one frame (header + payload + CRC-32C trailer). A valid
 /// `trace` adds the trace-context extension — only do this on a
 /// connection that negotiated kProtocolVersionTraced; v1 peers reject

@@ -12,7 +12,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
-#include "obs/watchdog.hpp"
 #include "verify/verifier.hpp"
 
 namespace ipd {
@@ -155,7 +154,7 @@ void OtaClient::backoff(std::size_t attempt, OtaReport& report) {
 }
 
 /// Where one hop's artifact bytes go. transfer_hop owns the wire —
-/// connect, trace and watchdog, GET_DELTA or RESUME, the DELTA_BEGIN/
+/// connect, trace, GET_DELTA or RESUME, the DELTA_BEGIN/
 /// DATA/END checks, retries and backoff; each flow supplies only its
 /// consumer and its policy on a refused resume.
 struct OtaClient::HopSink {
@@ -202,8 +201,6 @@ void OtaClient::transfer_hop(HopSink& sink, ReleaseId current,
     // spans parent onto the attempt that actually reached it.
     const obs::TraceContext attempt_ctx = obs::child_of(obs::current_trace());
     const obs::TraceScope attempt_scope(attempt_ctx);
-    obs::WatchdogGuard watchdog("client hop", attempt_ctx,
-                                options_.stall_deadline_ms * 1'000'000);
     Session session;
     try {
       obs::Span span(obs::Stage::kNetRequest);
@@ -266,7 +263,6 @@ void OtaClient::transfer_hop(HopSink& sink, ReleaseId current,
           }
           report.artifact_bytes += data->data.size();
           span.add_bytes(data->data.size());
-          watchdog.progress(sink.offset());
         } else if (auto* end = std::get_if<DeltaEndMsg>(&message)) {
           if (end->total_size != sink.offset() ||
               end->artifact_crc != sink.artifact_crc) {
@@ -284,8 +280,17 @@ void OtaClient::transfer_hop(HopSink& sink, ReleaseId current,
                       "transfer");
         }
       }
-    } catch (const TransportError&) {
+    } catch (const TransportError& e) {
       // fall through to retry; the consumer's offset is the resume point
+      if (e.code() == NetErrc::kTimeout) {
+        // The read timeout is what ends a stalled transfer: leave the
+        // record (mirrored into this update's flight recorder).
+        ++report.timeouts;
+        obs::report_stall("client hop", attempt_ctx,
+                          sink.begun ? sink.offset() : 0,
+                          static_cast<std::uint64_t>(options_.read_timeout_ms) *
+                              1'000'000);
+      }
     } catch (const FormatError&) {
       // corrupt frame (e.g. injected bit flip) — the frame CRC rejected
       // it before any byte reached the consumer; reconnect and resume
@@ -442,8 +447,6 @@ OtaReport OtaClient::update_device(FlashDevice& device,
         tj.hop_to = begin.to;
         tj.full_image = begin.full_image != 0;
         tj.total_size = begin.total_size;
-        tj.reference_length = begin.reference_length;
-        tj.version_length = begin.version_length;
         tj.artifact_crc = begin.artifact_crc;
         // No reserve(total_size): it is a server-supplied u64, and one
         // hostile DELTA_BEGIN must not commit gigabytes up front. The

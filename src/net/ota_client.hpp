@@ -47,11 +47,10 @@ struct OtaClientOptions {
   int backoff_max_ms = 250;
   /// Largest DELTA_DATA payload requested in HELLO.
   std::uint32_t max_chunk = 64u << 10;
-  /// Receive timeout per read; 0 = wait forever.
+  /// Receive timeout per read; 0 = wait forever. A read that times out
+  /// ends the attempt as a stall: a kStall event carrying the attempt's
+  /// trace id, counted in OtaReport::timeouts, then a retry.
   int read_timeout_ms = 10'000;
-  /// Register each transfer attempt with the global stall watchdog
-  /// under this deadline (obs/watchdog.hpp); 0 = off.
-  std::uint64_t stall_deadline_ms = 0;
 };
 
 /// What one update cost, for reports and assertions.
@@ -59,6 +58,7 @@ struct OtaReport {
   ReleaseId final_release = 0;
   std::size_t hops = 0;          ///< artifacts applied
   std::size_t retries = 0;       ///< reconnects forced by faults
+  std::size_t timeouts = 0;      ///< attempts ended by the read timeout
   std::size_t resumes = 0;       ///< RESUME requests issued
   std::uint64_t bytes_received = 0;   ///< wire bytes read (all attempts)
   std::uint64_t artifact_bytes = 0;   ///< payload bytes applied
@@ -76,8 +76,6 @@ struct TransferJournal {
   ReleaseId hop_to = 0;
   bool full_image = false;
   std::uint64_t total_size = 0;
-  std::uint64_t reference_length = 0;
-  std::uint64_t version_length = 0;
   std::uint32_t artifact_crc = 0;
   Bytes received;  ///< artifact prefix; received.size() is the offset
 };

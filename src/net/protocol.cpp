@@ -58,18 +58,6 @@ struct Cursor {
 
 void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
 Bytes payload_of(const HelloMsg& m) {
   Bytes out;
   put_u32(out, m.protocol_version);

@@ -25,7 +25,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
-#include "obs/watchdog.hpp"
 
 namespace ipd {
 
@@ -43,32 +42,6 @@ constexpr int kEpollTickMs = 100;
 /// writev gather width: enough to push a whole queued transfer window
 /// (head + body + trailer per frame) in one syscall.
 constexpr std::size_t kMaxIov = 64;
-
-void put_u32(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Same layout as frame.cpp's trace extension — the zero-copy path
-/// assembles DELTA_DATA frame headers by hand, and the wire tests pin
-/// the two against drift by decoding reactor output with the ordinary
-/// FrameReader.
-void append_trace_ext(Bytes& out, const obs::TraceContext& trace) {
-  out.push_back(static_cast<std::uint8_t>(kTraceExtSize - 1));
-  out.push_back(1);  // ext_version
-  put_u64(out, trace.trace_hi);
-  put_u64(out, trace.trace_lo);
-  put_u64(out, trace.span_id);
-  put_u64(out, trace.parent_span_id);
-  out.push_back(trace.sampled ? 1 : 0);
-}
 
 }  // namespace
 
@@ -189,7 +162,6 @@ struct Conn {
   std::uint64_t transfer_start = 0;
   bool end_enqueued = false;
   std::unique_ptr<obs::Span> span;
-  std::unique_ptr<obs::WatchdogGuard> watchdog;
 
   std::uint64_t last_activity_ns = 0;
   /// Installed (FlightScope) while the loop works on this connection;
@@ -269,20 +241,10 @@ struct Reactor::Impl {
   /// Zero-copy DELTA_DATA: header + offset field in `head`, the artifact
   /// slice borrowed as an iovec, CRC-32C trailer chained across both.
   void enqueue_data(Conn& c, std::uint64_t pos, std::size_t n) {
-    const obs::TraceContext* trace = reply_trace(c);
-    const std::size_t ext = trace != nullptr ? kTraceExtSize : 0;
     OutBuf ob;
-    ob.head.reserve(kFrameHeaderSize + ext + 8);
-    ob.head.push_back('I');
-    ob.head.push_back('P');
-    ob.head.push_back('D');
-    ob.head.push_back('F');
-    ob.head.push_back(kFrameVersion);
-    ob.head.push_back(static_cast<std::uint8_t>(FrameType::kDeltaData));
-    ob.head.push_back(trace != nullptr ? kFrameFlagTrace : 0);
-    ob.head.push_back(0);
-    put_u32(ob.head, static_cast<std::uint32_t>(ext + 8 + n));
-    if (trace != nullptr) append_trace_ext(ob.head, *trace);
+    ob.head.reserve(kFrameHeaderSize + kTraceExtSize + 8);
+    append_frame_header(ob.head, FrameType::kDeltaData, 8 + n,
+                        reply_trace(c));
     put_u64(ob.head, pos);
     ob.body = c.artifact;
     ob.body_off = static_cast<std::size_t>(pos);
@@ -309,7 +271,6 @@ struct Reactor::Impl {
       enqueue_data(c, c.pos, n);
       ++c.frames;
       c.pos += n;
-      if (c.watchdog) c.watchdog->progress(c.pos);
       service.histograms().net_queue_depth.record(c.queued_bytes);
     }
     if (c.pos >= total) {
@@ -335,7 +296,6 @@ struct Reactor::Impl {
     service.histograms().transfer_ns.record(obs::now_ns() -
                                             c.transfer_start);
     service.histograms().transfer_frames.record(c.frames);
-    c.watchdog.reset();
     c.artifact.reset();
     c.end_enqueued = false;
     c.in_flight = false;
@@ -363,7 +323,6 @@ struct Reactor::Impl {
       const obs::TraceScope scope(c.ctx);
       c.span.reset();  // disconnected mid-transfer: still record the span
     }
-    c.watchdog.reset();
     c.transport->close();
     const auto it = conns.find(c.id);
     retired.push_back(std::move(it->second));
@@ -563,7 +522,7 @@ struct Reactor::Impl {
           d.is_resume = is_resume;
           d.ctx = ctx;
           if (error) {
-            d.error = error;
+            d.error = std::move(error);
           } else {
             d.result = std::move(*result);
           }
@@ -649,8 +608,6 @@ struct Reactor::Impl {
         c.span = std::make_unique<obs::Span>(obs::Stage::kNetTransfer,
                                              plan.begin.total_size - c.pos);
       }
-      c.watchdog = std::make_unique<obs::WatchdogGuard>(
-          "server transfer", c.ctx, config.stall_deadline_ms * 1'000'000);
       enqueue_message(c, plan.begin);
       ++c.frames;
       flush_writes(c);
@@ -761,7 +718,21 @@ struct Reactor::Impl {
     }
     for (const std::uint64_t id : expired) {
       const auto it = conns.find(id);
-      if (it != conns.end()) drop(*it->second);
+      if (it == conns.end()) continue;
+      Conn& c = *it->second;
+      // Silence that ends a transfer or a half-sent frame is a stall:
+      // report it and leave the connection's timeline. An idle
+      // keep-alive with nothing pending just goes.
+      if (c.artifact || c.reader.buffered() != 0) {
+        const obs::FlightScope flight(c.flight);
+        const bool mid_transfer = c.artifact != nullptr;
+        obs::report_stall(mid_transfer ? "server transfer" : "server read",
+                          c.ctx, mid_transfer ? c.pos : c.reader.buffered(),
+                          now - c.last_activity_ns);
+        obs::dump_flight(c.flight, mid_transfer ? "idle timeout mid-transfer"
+                                                : "idle timeout mid-frame");
+      }
+      drop(c);
     }
   }
 

@@ -31,17 +31,14 @@ struct ServerConfig {
   /// Drop a connection that makes no progress — nothing read from it and
   /// nothing written to it — for this long (0 = never). A connection
   /// waiting on a delta build is exempt; build latency is bounded by the
-  /// build queue, not the peer.
+  /// build queue, not the peer. Dropping one mid-transfer or holding a
+  /// partial frame is a stall: a kStall event with the connection's
+  /// trace id, and a dump of its flight recorder.
   int idle_timeout_ms = 10'000;
 
   /// Server-preferred DELTA_DATA payload size; the effective chunk is
   /// min(this, client HELLO max_chunk) and at least 512.
   std::size_t chunk_bytes = 64u << 10;
-
-  /// Register each transfer with the global stall watchdog under this
-  /// deadline: a transfer whose last progress is older than this is
-  /// flagged with a kStall event carrying its trace id (0 = off).
-  std::uint64_t stall_deadline_ms = 0;
 
   /// Per-connection cap on queued-but-unsent reply bytes. A transfer
   /// tops its output queue up to this bound and then waits for the

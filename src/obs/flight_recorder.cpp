@@ -208,6 +208,16 @@ FlightScope::~FlightScope() { t_active = saved_; }
 
 FlightRecorder* active_flight_recorder() noexcept { return t_active; }
 
+void report_stall(std::string_view label, const TraceContext& trace,
+                  std::uint64_t offset, std::uint64_t silent_ns) {
+  std::string detail(label);
+  if (trace.valid()) {
+    detail += ' ';
+    detail += trace.trace_id_hex();
+  }
+  global_events().push(EventType::kStall, offset, silent_ns, detail);
+}
+
 void dump_flight(const FlightRecorder& recorder, std::string_view reason) {
   FlightDump dump;
   if (recorder.context().valid()) {

@@ -112,6 +112,14 @@ struct FlightDump {
 /// the text+JSON pair into the configured dump directory.
 void dump_flight(const FlightRecorder& recorder, std::string_view reason);
 
+/// A timeout just ended a stalled transfer: push the kStall event
+/// (a = last progress offset, b = the silence in ns, detail =
+/// "<label> <trace id>") into the global ring, mirrored into this
+/// thread's active recorder. The client's read timeout and the server's
+/// idle scan are the two callers; dumping stays theirs to decide.
+void report_stall(std::string_view label, const TraceContext& trace,
+                  std::uint64_t offset, std::uint64_t silent_ns);
+
 /// The dumps recorded so far, oldest first (bounded; oldest evicted).
 std::vector<FlightDump> flight_dumps();
 void clear_flight_dumps();

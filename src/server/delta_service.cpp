@@ -11,6 +11,13 @@
 
 namespace ipd {
 
+namespace {
+
+/// Longest per-release chain the fallback will consider building.
+constexpr std::size_t kMaxChainHops = 8;
+
+}  // namespace
+
 DeltaService::DeltaService(const VersionStore& store,
                            const ServiceOptions& options)
     : store_(store),
@@ -95,16 +102,17 @@ std::shared_ptr<const Bytes> DeltaService::fetch_delta(ReleaseId from,
         // inline instead; the thread is a build worker either way.
         auto built = pool_.on_worker_thread() ? build()
                                               : pool_.submit(build).get();
-        if (options_.verify_artifacts) {
-          std::string why;
-          if (!admit(ByteView(*built), &why)) {
-            // Our own pipeline produced an unservable artifact — that is
-            // a converter bug, and serving it would push the corruption
-            // to every device on this hop. Fail the request instead.
-            throw Error("delta service: built artifact for hop " +
-                        std::to_string(from) + " -> " + std::to_string(to) +
-                        " rejected: " + why);
-          }
+        // Statically verify every artifact before it is cached or
+        // served: no byte stream leaves this service that could brick an
+        // in-place applier. A rejection means our own pipeline produced
+        // an unservable artifact — a converter bug, and serving it would
+        // push the corruption to every device on this hop. Fail the
+        // request instead.
+        std::string why;
+        if (!admit(ByteView(*built), &why)) {
+          throw Error("delta service: built artifact for hop " +
+                      std::to_string(from) + " -> " + std::to_string(to) +
+                      " rejected: " + why);
         }
         cache_.put(key, built);
         return built;
@@ -171,7 +179,7 @@ ServeResult DeltaService::serve(ReleaseId from, ReleaseId to) {
       options_.direct_gain_threshold * static_cast<double>(version_size);
   const std::size_t hops = to - from;
 
-  if (!direct_wins && hops >= 2 && hops <= options_.max_chain_hops) {
+  if (!direct_wins && hops >= 2 && hops <= kMaxChainHops) {
     // Drifted history: price the per-release chain (every hop delta is
     // shared with all other stragglers, so building them is amortized)
     // and the full image, and serve the byte-cheapest route.
@@ -228,12 +236,19 @@ void DeltaService::serve_async(ReleaseId from, ReleaseId to,
   try {
     pool_.post([this, from, to, trace, cb]() {
       const obs::TraceScope scope(trace);
+      std::exception_ptr error;
       try {
         ServeResult result = serve(from, to);
         (*cb)(&result, nullptr);
+        return;
       } catch (...) {
-        (*cb)(nullptr, std::current_exception());
+        error = std::current_exception();
       }
+      // Answer outside the handler and hand over the only reference, so
+      // the exception dies on the thread that consumes it: a worker still
+      // inside the handler would drop the last reference concurrently
+      // with the consumer reading the exception.
+      (*cb)(nullptr, std::move(error));
     });
   } catch (...) {
     // Pool shutting down: the request can never run. Reject inline so

@@ -30,12 +30,12 @@
 #include <string>
 #include <vector>
 
+#include "core/thread_pool.hpp"
 #include "ipdelta.hpp"
 #include "obs/trace_context.hpp"
 #include "server/delta_cache.hpp"
 #include "server/metrics.hpp"
 #include "server/singleflight.hpp"
-#include "server/thread_pool.hpp"
 #include "server/version_store.hpp"
 #include "verify/verifier.hpp"
 
@@ -58,13 +58,6 @@ struct ServiceOptions {
   /// Per-artifact fixed response overhead used when comparing routes
   /// (mirrors PlannerOptions::per_hop_overhead).
   std::uint64_t per_hop_overhead = 512;
-  /// Longest per-release chain the fallback will consider building.
-  std::size_t max_chain_hops = 8;
-  /// Statically verify every delta artifact (src/verify/) before it is
-  /// cached or served: no byte stream leaves this service that could
-  /// brick an in-place applier. Builds that fail verification throw —
-  /// a pipeline bug must be loud, not served.
-  bool verify_artifacts = true;
 };
 
 /// One artifact of a response. `full_image` steps carry the raw release

@@ -77,6 +77,10 @@ TEST(Campaign, CleanFleetConvergesEverywhere) {
   // Report plumbing: both renderings carry the headline numbers.
   EXPECT_NE(report.render().find("bricked 0"), std::string::npos);
   EXPECT_NE(report.json().find("\"bricked\":0"), std::string::npos);
+  // A clean fleet never waits out a read timeout.
+  EXPECT_EQ(report.timeouts, 0u);
+  EXPECT_NE(report.render().find("timeouts 0"), std::string::npos);
+  EXPECT_NE(report.json().find("\"timeouts\":0"), std::string::npos);
 }
 
 TEST(Campaign, FiveHundredDevicesWithFaultsAndPowerCutsZeroBricks) {

@@ -14,6 +14,8 @@
 #include "net/delta_server.hpp"
 #include "net/faulty_transport.hpp"
 #include "net/ota_client.hpp"
+#include "obs/event_ring.hpp"
+#include "obs/trace_context.hpp"
 #include "socket_pair.hpp"
 #include "test_util.hpp"
 
@@ -449,6 +451,50 @@ TEST(Session, MetricsRequestReturnsTheSnapshot) {
   const std::string text = client.fetch_metrics();
   EXPECT_NE(text.find("net_sessions:"), std::string::npos);
   EXPECT_NE(text.find("bytes cached:"), std::string::npos);
+}
+
+TEST(Session, ReadTimeoutEndsAStalledAttemptAndReportsIt) {
+  LocalRig rig(2);
+  // The first connection reaches a peer nobody serves, so the HELLO
+  // reply never comes; the retry reaches the real server.
+  std::unique_ptr<TcpTransport> unserved;
+  std::size_t connections = 0;
+  OtaClientOptions options;
+  options.read_timeout_ms = 100;
+  options.backoff_initial_ms = 0;
+  options.backoff_max_ms = 0;
+  OtaClient client(
+      [&]() -> std::unique_ptr<Transport> {
+        if (connections++ > 0) return rig.connect();
+        auto [client_end, server_end] = test::socket_pair();
+        unserved = std::move(server_end);
+        return std::move(client_end);
+      },
+      options);
+
+  // Every attempt's context is a child of the update's, which is a
+  // child of this scope: all carry this trace id.
+  const obs::TraceContext update = obs::mint_trace();
+  const obs::TraceScope scope(update);
+  const std::uint64_t before = obs::global_events().pushed();
+  Bytes image = rig.history[0];
+  const OtaReport report = client.update_streaming(image, 0, 1);
+  EXPECT_TRUE(test::bytes_equal(rig.history[1], image));
+  EXPECT_EQ(report.timeouts, 1u);
+  EXPECT_EQ(report.retries, 1u);
+
+  std::vector<obs::Event> stalls;
+  for (const obs::Event& e : obs::global_events().recent()) {
+    if (e.seq > before && e.type == obs::EventType::kStall) stalls.push_back(e);
+  }
+  ASSERT_EQ(stalls.size(), 1u);
+  // kDetailBytes truncation may clip the hex tail; the label plus the id
+  // prefix must survive.
+  const std::string expected = ("client hop " + update.trace_id_hex())
+                                   .substr(0, obs::EventRing::kDetailBytes);
+  EXPECT_EQ(stalls[0].detail, expected);
+  EXPECT_EQ(stalls[0].a, 0u) << "no artifact byte had arrived";
+  EXPECT_EQ(stalls[0].b, 100'000'000u) << "silence is the read timeout";
 }
 
 TEST(Session, StreamingClientSurvivesInjectedFaults) {

@@ -1,9 +1,9 @@
 // src/obs/ unit tests: histogram quantile accuracy against a
 // sorted-vector oracle, snapshot merging, the event ring, stage span
 // aggregation, the Chrome trace JSON export, trace-context propagation,
-// cross-process trace merging, the flight recorder, the stall watchdog,
-// and the Prometheus renderer's text format. Concurrency hammering
-// lives in test_obs_stress.cpp (label "stress", run under TSan).
+// cross-process trace merging, the flight recorder, and the Prometheus
+// renderer's text format. Concurrency hammering lives in
+// test_obs_stress.cpp (label "stress", run under TSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/trace_merge.hpp"
-#include "obs/watchdog.hpp"
 #include "test_util.hpp"
 
 namespace ipd::obs {
@@ -560,85 +559,6 @@ TEST(FlightRecorder, DumpRegistryKeysOnTraceIdAndReason) {
             std::string::npos);
   clear_flight_dumps();
   EXPECT_TRUE(flight_dumps().empty());
-}
-
-// ---- stall watchdog -------------------------------------------------
-
-TEST(StallWatchdog, FlagsOncePerEpisodeAndRearmsOnProgress) {
-  StallWatchdog dog;
-  const TraceContext ctx = mint_trace();
-  const std::uint64_t id =
-      dog.register_task("test transfer", ctx, 1'000'000 /* 1ms */);
-  ASSERT_NE(id, 0u);
-  EXPECT_EQ(dog.watched(), 1u);
-
-  // Not yet past the deadline: quiet.
-  EXPECT_EQ(dog.check_now(now_ns()), 0u);
-  EXPECT_EQ(dog.stalls_flagged(), 0u);
-
-  // Way past the deadline: flagged exactly once, stays stalled.
-  const std::uint64_t late = now_ns() + 1'000'000'000;
-  EXPECT_EQ(dog.check_now(late), 1u);
-  EXPECT_EQ(dog.stalls_flagged(), 1u);
-  EXPECT_EQ(dog.check_now(late + 1), 1u);
-  EXPECT_EQ(dog.stalls_flagged(), 1u) << "edge trigger re-fired";
-  const std::vector<StalledTask> stalled = dog.stalled();
-  ASSERT_EQ(stalled.size(), 1u);
-  EXPECT_EQ(stalled[0].label, "test transfer");
-  EXPECT_EQ(stalled[0].trace, ctx);
-
-  // Progress re-arms: no longer stalled, and a NEW silence flags again.
-  dog.progress(id, 4096);
-  EXPECT_EQ(dog.check_now(now_ns()), 0u);
-  EXPECT_TRUE(dog.stalled().empty());
-  EXPECT_EQ(dog.check_now(now_ns() + 1'000'000'000), 1u);
-  EXPECT_EQ(dog.stalls_flagged(), 2u);
-  const std::vector<StalledTask> again = dog.stalled();
-  ASSERT_EQ(again.size(), 1u);
-  EXPECT_EQ(again[0].offset, 4096u) << "last-progress offset not carried";
-
-  dog.deregister(id);
-  EXPECT_EQ(dog.watched(), 0u);
-  EXPECT_EQ(dog.check_now(now_ns() + 2'000'000'000), 0u);
-}
-
-TEST(StallWatchdog, StallEventCarriesTheTraceId) {
-  StallWatchdog dog;
-  const TraceContext ctx = mint_trace();
-  dog.register_task("stalling hop", ctx, 1);
-  const std::uint64_t before = global_events().pushed();
-  dog.check_now(now_ns() + 1'000'000'000);
-  ASSERT_EQ(global_events().pushed(), before + 1);
-  const std::vector<Event> recent = global_events().recent(1);
-  ASSERT_EQ(recent.size(), 1u);
-  EXPECT_EQ(recent[0].type, EventType::kStall);
-  EXPECT_NE(recent[0].detail.find("stalling hop"), std::string::npos);
-  // kDetailBytes truncation may clip the hex tail; the label plus the
-  // id prefix must survive.
-  const std::string expected =
-      ("stalling hop " + ctx.trace_id_hex())
-          .substr(0, EventRing::kDetailBytes);
-  EXPECT_EQ(recent[0].detail, expected);
-}
-
-TEST(StallWatchdog, GuardWithZeroDeadlineRegistersNothing) {
-  const std::size_t before = global_watchdog().watched();
-  {
-    WatchdogGuard guard("noop", mint_trace(), 0);
-    guard.progress(10);  // must be a safe no-op
-    EXPECT_EQ(global_watchdog().watched(), before);
-  }
-  EXPECT_EQ(global_watchdog().watched(), before);
-}
-
-TEST(StallWatchdog, GuardRegistersAndDeregistersAgainstTheGlobalDog) {
-  const std::size_t before = global_watchdog().watched();
-  {
-    WatchdogGuard guard("guarded transfer", mint_trace(), 5'000'000'000);
-    EXPECT_EQ(global_watchdog().watched(), before + 1);
-    guard.progress(100);
-  }
-  EXPECT_EQ(global_watchdog().watched(), before);
 }
 
 // ---- prometheus renderer --------------------------------------------

@@ -17,7 +17,6 @@
 #include "obs/striped.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
-#include "obs/watchdog.hpp"
 
 namespace ipd::obs {
 namespace {
@@ -175,32 +174,6 @@ TEST(ObsStress, PerThreadFlightRecordersMirrorWithoutRacing) {
     // One span + one event per iteration, nothing lost or cross-wired.
     EXPECT_EQ(recorded[t], 2 * kPerThread) << "thread " << t;
   }
-}
-
-TEST(ObsStress, WatchdogSurvivesConcurrentTasksAndBackgroundChecks) {
-  StallWatchdog dog;
-  dog.start_thread(1);
-  constexpr std::uint64_t kTasksPerThread = 200;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&dog, t] {
-      for (std::uint64_t i = 0; i < kTasksPerThread; ++i) {
-        // Tiny deadline on half the tasks: many stall and get flagged
-        // while the background thread races register/progress/deregister.
-        const std::uint64_t id =
-            dog.register_task("stress " + std::to_string(t), mint_trace(),
-                              (i % 2 == 0) ? 1 : 1'000'000'000);
-        dog.progress(id, i);
-        dog.progress(0, i);  // unknown id: must be ignored safely
-        dog.deregister(id);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  dog.stop_thread();
-  EXPECT_EQ(dog.watched(), 0u);
-  (void)dog.check_now();
-  EXPECT_TRUE(dog.stalled().empty());
 }
 
 TEST(ObsStress, ConcurrentSpansAggregateExactly) {

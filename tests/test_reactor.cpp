@@ -2,8 +2,9 @@
 // thread-per-connection front end never had to survive and the reactor
 // must — a slow reader pinning its bounded output queue while other
 // connections make progress, a saturated build queue answering with a
-// typed ERROR{kShed} instead of a silent stall, and a client hanging up
-// mid-transfer while megabytes are still queued behind a writev.
+// typed ERROR{kShed} instead of a silent stall, a client hanging up
+// mid-transfer while megabytes are still queued behind a writev, and
+// silent peers that the idle scan drops and reports as stalls.
 //
 // The same loop serves DeltaServer::connect_local socket pairs; the
 // tests on those (admission, flight-recorder evidence, the message fuzz
@@ -29,6 +30,7 @@
 #include "net/delta_server.hpp"
 #include "net/ota_client.hpp"
 #include "net/tcp_transport.hpp"
+#include "obs/event_ring.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace_context.hpp"
@@ -114,6 +116,25 @@ std::optional<obs::FlightDump> dump_for(const std::string& reason) {
     if (it->reason == reason) return *it;
   }
   return std::nullopt;
+}
+
+/// The kStall events pushed after the ring's cursor stood at `before`.
+std::vector<obs::Event> stalls_since(std::uint64_t before) {
+  std::vector<obs::Event> stalls;
+  for (const obs::Event& e : obs::global_events().recent()) {
+    if (e.seq > before && e.type == obs::EventType::kStall) {
+      stalls.push_back(e);
+    }
+  }
+  return stalls;
+}
+
+/// The detail a stall report carries: its label and the trace id, cut to
+/// the ring's slot capacity.
+std::string stall_detail(const std::string& label,
+                         const obs::TraceContext& ctx) {
+  return (label + " " + ctx.trace_id_hex())
+      .substr(0, obs::EventRing::kDetailBytes);
 }
 
 /// v0 plus a v1 that appends a megabyte of incompressible noise: the
@@ -529,6 +550,92 @@ TEST(Reactor, PeerHangingUpMidFrameLeavesAFlightDump) {
   EXPECT_EQ(cut->trace_id, ctx.trace_id_hex());
   EXPECT_NE(cut->text.find("truncated mid-frame"), std::string::npos)
       << cut->text;
+  obs::clear_flight_dumps();
+}
+
+// ---- stall reports --------------------------------------------------
+
+TEST(Reactor, SilentPeerMidFrameIsReportedAsAStall) {
+  ServerConfig net;
+  net.idle_timeout_ms = 150;
+  LocalRig rig(small_history(), net);
+  obs::clear_flight_dumps();
+  const obs::TraceContext ctx = obs::mint_trace();
+  const std::unique_ptr<Transport> t = rig.connect(/*read_timeout_ms=*/5'000);
+  FramedConnection conn(*t);
+  conn.set_outbound_trace(ctx);
+  conn.send(HelloMsg{kProtocolVersionTraced, 4096});
+  const std::optional<Message> ack = conn.receive();
+  ASSERT_TRUE(ack && std::holds_alternative<HelloAckMsg>(*ack));
+
+  // Half a GET_DELTA frame, then silence past the idle timeout: the
+  // scan drops the connection and says why.
+  const std::uint64_t before = obs::global_events().pushed();
+  const Bytes wire = encode_message(GetDeltaMsg{0, 1}, &ctx);
+  const std::size_t half = wire.size() / 2;
+  t->write_all(ByteView(wire).first(half));
+  Bytes buf(64);
+  EXPECT_EQ(t->read_some(buf), 0u) << "idle scan kept a silent peer";
+
+  const std::vector<obs::Event> stalls = stalls_since(before);
+  ASSERT_EQ(stalls.size(), 1u);
+  EXPECT_EQ(stalls[0].detail, stall_detail("server read", ctx));
+  EXPECT_EQ(stalls[0].a, half) << "partial-frame bytes not carried";
+  const std::optional<obs::FlightDump> dump =
+      dump_for("idle timeout mid-frame");
+  ASSERT_TRUE(dump.has_value()) << "a stalled frame left no flight record";
+  EXPECT_EQ(dump->label, "server:local");
+  EXPECT_EQ(dump->trace_id, ctx.trace_id_hex());
+  EXPECT_NE(dump->text.find("stall"), std::string::npos) << dump->text;
+  obs::clear_flight_dumps();
+}
+
+TEST(Reactor, IdleKeepAliveGoesQuietlyWhileAStalledTransferIsReported) {
+  ServerConfig net;
+  net.idle_timeout_ms = 150;
+  net.max_queued_bytes = 64u << 10;
+  LocalRig rig(big_tail_history(), net);
+  obs::clear_flight_dumps();
+  const std::uint64_t before = obs::global_events().pushed();
+
+  // A keep-alive that finished its exchange and has nothing pending.
+  const std::unique_ptr<Transport> idle = rig.connect(/*read_timeout_ms=*/5'000);
+  FramedConnection idle_conn(*idle);
+  hello(idle_conn);
+  // A transfer whose reader stops reading: the artifact outgrows the
+  // queue bound and the socket buffers, so the server parks mid-stream.
+  const obs::TraceContext ctx = obs::mint_trace();
+  const std::unique_ptr<Transport> stuck = rig.connect();
+  FramedConnection conn(*stuck);
+  conn.set_outbound_trace(ctx);
+  conn.send(HelloMsg{kProtocolVersionTraced, 4096});
+  const std::optional<Message> ack = conn.receive();
+  ASSERT_TRUE(ack && std::holds_alternative<HelloAckMsg>(*ack));
+  conn.send(GetDeltaMsg{0, 1});
+  const std::optional<Message> begin_msg = conn.receive();
+  ASSERT_TRUE(begin_msg && std::holds_alternative<DeltaBeginMsg>(*begin_msg));
+  const std::uint64_t total = std::get<DeltaBeginMsg>(*begin_msg).total_size;
+
+  Bytes buf(64);
+  EXPECT_EQ(idle->read_some(buf), 0u) << "idle scan kept a quiet keep-alive";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rig.server->active_sessions() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(rig.server->active_sessions(), 0u) << "stalled transfer kept";
+
+  const std::vector<obs::Event> stalls = stalls_since(before);
+  ASSERT_EQ(stalls.size(), 1u) << "only the transfer was stalled";
+  EXPECT_EQ(stalls[0].detail, stall_detail("server transfer", ctx));
+  EXPECT_GT(stalls[0].a, 0u) << "transfer offset not carried";
+  EXPECT_LT(stalls[0].a, total) << "a finished transfer is not a stall";
+  const std::vector<obs::FlightDump> dumps = obs::flight_dumps();
+  ASSERT_EQ(dumps.size(), 1u) << "the idle keep-alive must not dump";
+  EXPECT_EQ(dumps[0].reason, "idle timeout mid-transfer");
+  EXPECT_EQ(dumps[0].label, "server:local");
+  EXPECT_EQ(dumps[0].trace_id, ctx.trace_id_hex());
   obs::clear_flight_dumps();
 }
 
